@@ -20,11 +20,9 @@ from .model import (
     scenario_to_dict,
     validate,
 )
-from .protocol import PathState, ProtocolError, initial_rate, record_feedback, update_rate
+from .protocol import ProtocolError, loss_fraction, update_rate
 from .kernel import (
-    AdversarialContext,
     KernelError,
-    LossEvent,
     PathRecord,
     ResourceLedger,
     RunTrace,

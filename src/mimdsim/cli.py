@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -144,24 +143,20 @@ def cmd_simulate(scenario: Scenario, outdir: Path,
         return EXIT_OK
     eps_values: list[float | None] = list(sweep_epsilon) if sweep_epsilon else [None]
     durations = list(sweep_duration) if sweep_duration else [1.0]
-    entries = [(eps, dur) for eps in eps_values for dur in durations]
-
-    def run_entry(entry: tuple[float | None, float]):
-        eps, dur = entry
-        eps_label = f"{eps:g}" if eps is not None else f"{scenario.epsilon:g}"
-        sub = outdir / f"eps{eps_label}_dur{dur:g}"
-        sub.mkdir(parents=True, exist_ok=True)
-        variant = _sweep_variant(scenario, eps, dur)
-        entry_report = _write_run_outputs(variant, sub)
-        return (
-            eps if eps is not None else scenario.epsilon,
-            dur,
-            entry_report.competitive_ratio,
-            entry_report.measured_epsilon_hat,
-        )
-
-    with ThreadPoolExecutor(max_workers=min(8, len(entries))) as pool:
-        rows = list(pool.map(run_entry, entries))
+    rows = []
+    for eps in eps_values:
+        for dur in durations:
+            eps_label = f"{eps:g}" if eps is not None else f"{scenario.epsilon:g}"
+            sub = outdir / f"eps{eps_label}_dur{dur:g}"
+            sub.mkdir(parents=True, exist_ok=True)
+            variant = _sweep_variant(scenario, eps, dur)
+            entry_report = _write_run_outputs(variant, sub)
+            rows.append((
+                eps if eps is not None else scenario.epsilon,
+                dur,
+                entry_report.competitive_ratio,
+                entry_report.measured_epsilon_hat,
+            ))
     rows.sort(key=lambda row: (row[0], row[1]))
     lines = ["epsilon,duration,ratio,eps_hat"]
     for eps, dur, ratio, eps_hat in rows:

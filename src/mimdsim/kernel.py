@@ -1,16 +1,18 @@
 """Round-stepped fluid simulation engine.
 
-Each round: (1) active sources emit using only information from earlier
-rounds; (2) in-flight cohorts transit the resources scheduled for this
-round, resources pool their arrivals and discard exactly the excess over
-capacity per the loss policy; (3) cohorts reaching their destination are
-recorded and fed back to the source.
+Before the first round the kernel builds one static schedule: every
+resource, in a topological order of the same-round precedence relation
+(validated acyclic), with the (path, pre-delay) pairs crossing it. Each
+round then works over flat per-path arrays: (1) active sources emit using
+only information from earlier rounds; (2) each scheduled resource pools the
+surviving cohorts its members sent at ``t - pre_delay`` and discards exactly
+the excess over capacity per the loss policy; (3) cohorts reaching their
+destination are recorded and fed back to the source.
 
-Within one round, resources are processed in a fixed topological order of
-the static same-round precedence relation (validated acyclic), so a cohort
-crossing several zero-latency hops sees each pooled loss event in route
-order. Runs are single-threaded and bit-for-bit deterministic; traces are
-immutable once returned.
+Survivors are kept per path and send round and updated in place, so a
+cohort crossing several zero-latency hops sees each pooled loss event in
+route order. Runs are single-threaded and bit-for-bit deterministic; traces
+are immutable once returned.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import zlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import protocol
@@ -29,22 +31,14 @@ from .model import (
     Scenario,
     intra_round_edges,
     require_valid,
+    topo_order,
 )
-from .protocol import PathState
 
 CONSERVATION_RTOL = 1e-9
 
 
 class KernelError(RuntimeError):
-    """Internal sequencing or conservation failure: a kernel bug, not bad input."""
-
-
-@dataclass
-class LossEvent:
-    """Per-path breakdown of one congested resource-round."""
-
-    contributions: dict[str, float]
-    losses: dict[str, float]
+    """Internal conservation failure: a kernel bug, not bad input."""
 
 
 @dataclass
@@ -55,7 +49,6 @@ class ResourceLedger:
     into: array
     lost: array
     cap: array
-    events: dict[int, LossEvent] = field(default_factory=dict)
 
 
 @dataclass
@@ -79,32 +72,6 @@ class RunTrace:
     resources: dict[str, ResourceLedger]
 
 
-class Cohort:
-    """In-flight ledger entry: what survives of one (path, send round) so far."""
-
-    __slots__ = ("conn", "send_round", "remaining", "next_hop")
-
-    def __init__(self, conn: int, send_round: int, remaining: float):
-        self.conn = conn
-        self.send_round = send_round
-        self.remaining = remaining
-        self.next_hop = 0
-
-
-@dataclass
-class AdversarialContext:
-    """Per-event inputs for the budget-capped adversarial allocator.
-
-    ``max_loss[p]`` is the largest absolute loss path p may absorb in this
-    event without its cumulative loss fraction exceeding (1 + epsilon) times
-    the per-resource loss ratios it has traversed (this event included).
-    """
-
-    target: str
-    max_loss: dict[str, float]
-    seed: int = 0
-
-
 def _tiebreak_key(seed: int, round_idx: int, pid: str) -> int:
     return zlib.crc32(f"{seed}:{round_idx}:{pid}".encode())
 
@@ -114,7 +81,7 @@ def allocate_loss(
     cap: float,
     policy: LossPolicy,
     round_idx: int,
-    ctx: AdversarialContext | None = None,
+    max_loss: dict[str, float] | None = None,
 ) -> dict[str, float]:
     """Split the excess over capacity among contributors.
 
@@ -122,7 +89,10 @@ def allocate_loss(
     max(0, sum(contributions) - cap). Proportional: every path loses the
     same fraction. Adversarial: the target absorbs as much as its fairness
     budget allows, the rest is spread proportionally over the others within
-    their own budgets.
+    their own budgets. ``max_loss[p]`` is the largest absolute loss path p
+    may absorb in this event (unlimited when absent); budgets too small for
+    the excess leave the shortfall unallocated, which ``run`` rejects as a
+    conservation breach.
     """
     for pid, c in contributions.items():
         if c < 0:
@@ -142,15 +112,11 @@ def allocate_loss(
     if not isinstance(policy, AdversarialFairLoss):
         raise KernelError(f"unknown loss policy {policy!r}")
 
-    def budget(pid: str) -> float:
-        if ctx is None:
-            return math.inf
-        return ctx.max_loss.get(pid, math.inf)
-
+    budgets = max_loss or {}
     need = excess
     target = policy.target_path
     if target in contributions:
-        take = min(contributions[target], budget(target), need)
+        take = min(contributions[target], budgets.get(target, math.inf), need)
         if take > 0:
             losses[target] = take
             need -= take
@@ -159,7 +125,7 @@ def allocate_loss(
         (pid for pid in contributions if pid != target),
         key=lambda pid: (_tiebreak_key(policy.seed, round_idx, pid), pid),
     )
-    caps = {pid: min(contributions[pid], budget(pid)) for pid in others}
+    caps = {pid: min(contributions[pid], budgets.get(pid, math.inf)) for pid in others}
     active = [pid for pid in others if caps[pid] > 0]
     tol = 1e-15 * max(into, 1.0)
     while need > tol and active:
@@ -184,184 +150,118 @@ def allocate_loss(
             assigned += share
         need -= assigned
         break
-    if need > 1e-9 * max(into, 1.0):
-        # Budgets cannot absorb the excess (possible only for hand-built
-        # contexts); overflow onto contributions so loss stays conserved.
-        for pid in sorted(contributions, key=lambda p: (_tiebreak_key(policy.seed, round_idx, p), p)):
-            room = contributions[pid] - losses[pid]
-            take = min(room, need)
-            if take > 0:
-                losses[pid] += take
-                need -= take
-            if need <= tol:
-                break
     return losses
 
 
-def _topo_order(scenario: Scenario) -> list[int]:
-    """Resource indices ordered so every same-round hop pair is respected."""
-    ids = [r.id for r in scenario.resources]
-    index = {rid: i for i, rid in enumerate(ids)}
-    edges = intra_round_edges(scenario)
-    succ: dict[int, list[int]] = {i: [] for i in range(len(ids))}
-    indeg = [0] * len(ids)
-    for a, b in edges:
-        succ[index[a]].append(index[b])
-        indeg[index[b]] += 1
-    order: list[int] = []
-    remaining = list(range(len(ids)))
-    while remaining:
-        pick = next(i for i in remaining if indeg[i] == 0)
-        remaining.remove(pick)
-        order.append(pick)
-        for j in succ[pick]:
-            indeg[j] -= 1
-    return order
-
-
-def run(scenario: Scenario, *, keep_loss_events: bool = True) -> RunTrace:
+def run(scenario: Scenario) -> RunTrace:
     """Execute the scenario through its horizon and return the full trace.
 
-    Deterministic given the scenario (including any policy seed). Set
-    ``keep_loss_events=False`` to skip storing per-event path breakdowns on
-    very long runs; aggregate ledgers are always kept.
+    Deterministic given the scenario (including any policy seed).
     """
     require_valid(scenario)
     conns = scenario.connections
+    ids = [c.id for c in conns]
     horizon = scenario.horizon
     n_rounds = horizon + 1
 
-    res_ids = [r.id for r in scenario.resources]
-    res_index = {rid: i for i, rid in enumerate(res_ids)}
-    caps = [array("d", r.capacity.values_until(horizon)) for r in scenario.resources]
-    topo = _topo_order(scenario)
+    def zeros() -> array:
+        return array("d", bytes(8 * n_rounds))
 
-    ledgers = {
-        rid: ResourceLedger(
-            resource_id=rid,
-            into=array("d", bytes(8 * n_rounds)),
-            lost=array("d", bytes(8 * n_rounds)),
-            cap=caps[i],
-        )
-        for i, rid in enumerate(res_ids)
-    }
-    records = {
-        c.id: PathRecord(
-            path_id=c.id,
-            sent=array("d", bytes(8 * n_rounds)),
-            rcvd=array("d", bytes(8 * n_rounds)),
-            lost=array("d", bytes(8 * n_rounds)),
-            lsr=array("d", bytes(8 * n_rounds)),
-        )
-        for c in conns
-    }
-    states = [PathState.for_run(c, horizon) for c in conns]
+    ledgers = [
+        ResourceLedger(r.id, zeros(), zeros(), array("d", r.capacity.values_until(horizon)))
+        for r in scenario.resources
+    ]
+    records = [PathRecord(c.id, zeros(), zeros(), zeros(), zeros()) for c in conns]
+    # survivors[k][s]: what is left of path k's cohort sent at round s
+    survivors = [zeros() for _ in conns]
 
-    route_idx = [[res_index[rid] for rid in c.route] for c in conns]
-    offsets = [[c.pre_delay_at(i) for i in range(len(c.route))] for c in conns]
+    # The static schedule: each resource in same-round precedence order with
+    # its members (path, pre-delay, first and last transit round).
+    res_index = {r.id: i for i, r in enumerate(scenario.resources)}
+    members: list[list[tuple[int, int, int, int]]] = [[] for _ in ledgers]
+    for k, c in enumerate(conns):
+        for hop, rid in enumerate(c.route):
+            pre = c.pre_delay_at(hop)
+            members[res_index[rid]].append((k, pre, c.start + pre, c.end + pre))
+    order = topo_order([r.id for r in scenario.resources], intra_round_edges(scenario))
+    schedule = [(ledgers[i], members[i]) for i in order if members[i]]
 
     policy = scenario.loss_policy
     adversarial = isinstance(policy, AdversarialFairLoss)
     budget_scale = 1.0 + scenario.epsilon
-    frac_lost = {c.id: 0.0 for c in conns}   # running sum of per-hop loss / cohort size
-    frac_seen = {c.id: 0.0 for c in conns}   # running sum of traversed resource loss ratios
-
-    pending: dict[int, dict[int, list[Cohort]]] = {}
-    arrivals: dict[int, list[Cohort]] = {}
+    frac_lost = [0.0] * len(conns)   # running sum of per-hop loss / cohort size
+    frac_seen = [0.0] * len(conns)   # running sum of traversed resource loss ratios
 
     for t in range(n_rounds):
         # Sources emit, using only feedback with timestamp <= t-1.
         for k, c in enumerate(conns):
             if not (c.start <= t <= c.end):
                 continue
+            rec = records[k]
             if t <= c.start + c.total_delay:
-                rate = protocol.initial_rate(states[k], t)
+                rate = c.start_rate
             else:
-                rate = protocol.update_rate(states[k], t)
-            states[k].record_sent(t, rate)
-            records[c.id].sent[t] = rate
-            cohort = Cohort(k, t, rate)
-            if route_idx[k]:
-                transit = t + offsets[k][0]
-                pending.setdefault(transit, {}).setdefault(route_idx[k][0], []).append(cohort)
-            else:
-                arrivals.setdefault(t + c.total_delay, []).append(cohort)
+                prev = rec.sent[t - 1 - c.total_delay]
+                rate = protocol.update_rate(prev, rec.lsr[t - 1], c.alpha, c.beta)
+            rec.sent[t] = rate
+            survivors[k][t] = rate
 
-        # Resources pool arrivals and discard the excess.
-        current = pending.pop(t, None)
-        if current:
-            for ri in topo:
-                cohorts = current.pop(ri, None)
-                if not cohorts:
-                    continue
-                contributions: dict[str, float] = {}
-                by_path: dict[str, Cohort] = {}
-                for co in cohorts:
-                    pid = conns[co.conn].id
-                    if pid in contributions:
-                        raise KernelError(f"two cohorts of {pid!r} at {res_ids[ri]!r} round {t}")
-                    contributions[pid] = co.remaining
-                    by_path[pid] = co
-                into = math.fsum(contributions.values())
-                cap = caps[ri][t]
-                ledger = ledgers[res_ids[ri]]
-                ledger.into[t] = into
-                excess = into - cap
-                if excess > 0 and into > 0:
-                    ctx = None
-                    if adversarial:
-                        rho = excess / into
-                        max_loss = {}
-                        for pid, co in by_path.items():
-                            size = records[pid].sent[co.send_round]
-                            room = budget_scale * (frac_seen[pid] + rho) - frac_lost[pid]
-                            max_loss[pid] = max(0.0, room * size)
-                        ctx = AdversarialContext(policy.target_path, max_loss, policy.seed)
-                    losses = allocate_loss(contributions, cap, policy, t, ctx)
-                    lost_total = math.fsum(losses.values())
-                    if abs(lost_total - excess) > CONSERVATION_RTOL * max(into, 1.0):
-                        raise KernelError(
-                            f"loss event at {res_ids[ri]!r} round {t} dropped {lost_total}, "
-                            f"excess was {excess}"
-                        )
-                    ledger.lost[t] = lost_total
-                    if keep_loss_events:
-                        ledger.events[t] = LossEvent(dict(contributions), losses)
-                    ratio = lost_total / into
-                    for pid, co in by_path.items():
-                        loss = losses[pid]
-                        if loss > 0.0:
-                            co.remaining = max(0.0, co.remaining - loss)
-                        frac_lost[pid] += loss / records[pid].sent[co.send_round]
-                        frac_seen[pid] += ratio
-                for co in cohorts:
-                    k = co.conn
-                    co.next_hop += 1
-                    if co.next_hop == len(route_idx[k]):
-                        arrive = co.send_round + conns[k].total_delay
-                        arrivals.setdefault(arrive, []).append(co)
-                    else:
-                        transit = co.send_round + offsets[k][co.next_hop]
-                        nxt = route_idx[k][co.next_hop]
-                        if transit == t:
-                            current.setdefault(nxt, []).append(co)
-                        else:
-                            pending.setdefault(transit, {}).setdefault(nxt, []).append(co)
-            if current:
-                raise KernelError(f"round {t}: cohorts left behind the resource sweep")
+        # Each scheduled resource pools its active cohorts and discards the excess.
+        for ledger, group in schedule:
+            cohorts = [(k, t - pre) for k, pre, lo, hi in group if lo <= t <= hi]
+            if not cohorts:
+                continue
+            contributions = {ids[k]: survivors[k][s] for k, s in cohorts}
+            into = math.fsum(contributions.values())
+            ledger.into[t] = into
+            excess = into - ledger.cap[t]
+            if not (excess > 0 and into > 0):
+                continue
+            max_loss = None
+            if adversarial:
+                # the most each path may lose here while its cumulative loss
+                # fraction stays within (1 + epsilon) times the loss ratios it
+                # traversed, this event included
+                rho = excess / into
+                max_loss = {
+                    ids[k]: max(0.0, (budget_scale * (frac_seen[k] + rho) - frac_lost[k])
+                                * records[k].sent[s])
+                    for k, s in cohorts
+                }
+            losses = allocate_loss(contributions, ledger.cap[t], policy, t, max_loss)
+            lost_total = math.fsum(losses.values())
+            if abs(lost_total - excess) > CONSERVATION_RTOL * max(into, 1.0):
+                raise KernelError(
+                    f"loss event at {ledger.resource_id!r} round {t} dropped {lost_total}, "
+                    f"excess was {excess}"
+                )
+            ledger.lost[t] = lost_total
+            ratio = lost_total / into
+            for k, s in cohorts:
+                loss = losses[ids[k]]
+                if loss > 0.0:
+                    survivors[k][s] = max(0.0, survivors[k][s] - loss)
+                if adversarial:
+                    frac_lost[k] += loss / records[k].sent[s]
+                    frac_seen[k] += ratio
 
         # Arrivals: record and feed back.
-        for co in arrivals.pop(t, []):
-            c = conns[co.conn]
-            rec = records[c.id]
-            rec.rcvd[t] = co.remaining
-            rec.lost[t] = rec.sent[co.send_round] - co.remaining
-            rec.lsr[t] = protocol.record_feedback(states[co.conn], t, co.remaining)
+        for k, c in enumerate(conns):
+            s = t - c.total_delay
+            if not (c.start <= s <= c.end):
+                continue
+            rec = records[k]
+            got = survivors[k][s]
+            rec.rcvd[t] = got
+            rec.lost[t] = rec.sent[s] - got
+            rec.lsr[t] = protocol.loss_fraction(rec.sent[s], got)
 
-    if pending or arrivals:
-        raise KernelError("cohorts still in flight past the horizon")
-
-    trace = RunTrace(scenario=scenario, horizon=horizon, paths=records, resources=ledgers)
+    trace = RunTrace(
+        scenario=scenario,
+        horizon=horizon,
+        paths={rec.path_id: rec for rec in records},
+        resources={led.resource_id: led for led in ledgers},
+    )
     _check_global_conservation(trace)
     return trace
 

@@ -7,6 +7,7 @@ packet model): there is no integrality of sends, receives, or losses.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
@@ -224,22 +225,28 @@ def intra_round_edges(scenario: Scenario) -> set[tuple[str, str]]:
     return edges
 
 
-def _has_cycle(nodes: list[str], edges: set[tuple[str, str]]) -> bool:
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    indeg = {n: 0 for n in nodes}
+def topo_order(nodes: list[str], edges: set[tuple[str, str]]) -> list[int] | None:
+    """Indices of ``nodes`` ordered so every edge ``(a, b)`` puts ``a`` before ``b``.
+
+    Kahn's pass, always taking the lowest declared index among the ready
+    nodes, so the order is deterministic. ``None`` means the edges form a cycle.
+    """
+    index = {n: i for i, n in enumerate(nodes)}
+    succ: list[list[int]] = [[] for _ in nodes]
+    indeg = [0] * len(nodes)
     for a, b in edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    ready = [n for n in nodes if indeg[n] == 0]
-    seen = 0
+        succ[index[a]].append(index[b])
+        indeg[index[b]] += 1
+    ready = [i for i, d in enumerate(indeg) if d == 0]
+    order: list[int] = []
     while ready:
-        n = ready.pop()
-        seen += 1
-        for m in succ[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-    return seen != len(nodes)
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    return order if len(order) == len(nodes) else None
 
 
 def validate(scenario: Scenario) -> list[Violation]:
@@ -321,7 +328,7 @@ def validate(scenario: Scenario) -> list[Violation]:
     # Same-round transit order must admit a single consistent pass.
     if not out:
         nodes = [r.id for r in scenario.resources]
-        if _has_cycle(nodes, intra_round_edges(scenario)):
+        if topo_order(nodes, intra_round_edges(scenario)) is None:
             out.append(Violation("scenario", "intra-round transit order is cyclic"))
     return out
 

@@ -7,16 +7,11 @@ rate one full feedback cycle earlier:
     rate(t) = rate(t - 1 - delay) * (1 + alpha - beta * loss_fraction(t - 1))
 
 The loss fraction fed back for round ``t`` refers to the cohort sent at
-``t - delay``. Everything here is a pure function of recorded history so it
-can be unit-tested against hand traces.
+``t - delay``. Both functions are pure, on plain floats, so they can be
+unit-tested against hand traces.
 """
 
 from __future__ import annotations
-
-from array import array
-from dataclasses import dataclass, field
-
-from .model import ConnectionSpec
 
 # Relative slack forgiven when acknowledgment arithmetic leaves tiny
 # negative loss fractions; anything larger is a conservation bug upstream.
@@ -24,99 +19,30 @@ LSR_CLAMP_TOLERANCE = 1e-12
 
 
 class ProtocolError(RuntimeError):
-    """History accessed out of sequence, or feedback that breaks conservation."""
+    """A loss fraction or rate outside its domain, or feedback that breaks conservation."""
 
 
-@dataclass
-class PathState:
-    """Per-connection view of what the source has sent and observed.
-
-    Histories are dense per-round arrays; a value is *defined* only for the
-    rounds the sequencing counters have reached, and reads outside that
-    domain raise ProtocolError.
-    """
-
-    conn: ConnectionSpec
-    _sent: array
-    _lsr: array
-    _last_sent: int = field(default=0)
-    _last_feedback: int = field(default=0)
-
-    @classmethod
-    def for_run(cls, conn: ConnectionSpec, horizon: int | None = None) -> "PathState":
-        if horizon is None:
-            horizon = conn.end + conn.total_delay
-        zeros = bytes(8 * (horizon + 1))
-        return cls(
-            conn=conn,
-            _sent=array("d", zeros),
-            _lsr=array("d", zeros),
-            _last_sent=conn.start - 1,
-            _last_feedback=conn.start + conn.total_delay - 1,
-        )
-
-    def sent_at(self, t: int) -> float:
-        if not (self.conn.start <= t <= self._last_sent):
-            raise ProtocolError(f"{self.conn.id}: sent({t}) is not defined")
-        return self._sent[t]
-
-    def lsr_at(self, t: int) -> float:
-        if not (self.conn.start + self.conn.total_delay <= t <= self._last_feedback):
-            raise ProtocolError(f"{self.conn.id}: lsr({t}) is not defined")
-        return self._lsr[t]
-
-    def record_sent(self, t: int, rate: float) -> None:
-        if t != self._last_sent + 1 or not (self.conn.start <= t <= self.conn.end):
-            raise ProtocolError(f"{self.conn.id}: send recorded out of sequence at {t}")
-        if not rate > 0:
-            raise ProtocolError(f"{self.conn.id}: non-positive send rate {rate} at {t}")
-        self._sent[t] = rate
-        self._last_sent = t
-
-
-def initial_rate(state: PathState, t: int) -> float:
-    """Warm-up rate: the configured start rate, valid until feedback exists."""
-    conn = state.conn
-    if not (conn.start <= t <= conn.start + conn.total_delay):
-        raise ProtocolError(f"{conn.id}: round {t} is outside the warm-up window")
-    return conn.start_rate
-
-
-def update_rate(state: PathState, t: int) -> float:
-    """Multiplicative update from the rate one feedback cycle ago."""
-    conn = state.conn
-    if not (conn.start + 1 + conn.total_delay <= t <= conn.end):
-        raise ProtocolError(f"{conn.id}: round {t} is outside the update window")
-    prev = state.sent_at(t - 1 - conn.total_delay)
-    lsr = state.lsr_at(t - 1)
+def update_rate(prev: float, lsr: float, alpha: float, beta: float) -> float:
+    """Multiplicative update of ``prev``, the rate one feedback cycle ago."""
     if not 0.0 <= lsr <= 1.0:
-        raise ProtocolError(f"{conn.id}: loss fraction {lsr} outside [0,1] at {t - 1}")
-    return prev * (1.0 + conn.alpha - conn.beta * lsr)
+        raise ProtocolError(f"loss fraction {lsr} outside [0,1]")
+    rate = prev * (1.0 + alpha - beta * lsr)
+    if not rate > 0:
+        raise ProtocolError(f"non-positive send rate {rate}")
+    return rate
 
 
-def record_feedback(state: PathState, t: int, rcvd: float) -> float:
-    """Record the observed loss fraction for the cohort arriving at round t.
+def loss_fraction(sent: float, rcvd: float) -> float:
+    """Loss fraction observed for a cohort of size ``sent`` that delivered ``rcvd``.
 
     Tiny negative fractions from float residue are clamped to 0; anything
     beyond LSR_CLAMP_TOLERANCE means conservation was broken upstream.
     """
-    conn = state.conn
-    if t != state._last_feedback + 1 or t > conn.end + conn.total_delay:
-        raise ProtocolError(f"{conn.id}: feedback recorded out of sequence at {t}")
-    sent = state.sent_at(t - conn.total_delay)
     if rcvd < 0:
-        raise ProtocolError(f"{conn.id}: negative rcvd {rcvd} at {t}")
-    if not sent > 0:
-        raise ProtocolError(f"{conn.id}: feedback against non-positive sent at {t}")
+        raise ProtocolError(f"negative rcvd {rcvd}")
     lsr = (sent - rcvd) / sent
     if lsr < 0.0:
         if lsr < -LSR_CLAMP_TOLERANCE:
-            raise ProtocolError(
-                f"{conn.id}: rcvd {rcvd} exceeds sent {sent} at {t} beyond tolerance"
-            )
-        lsr = 0.0
-    elif lsr > 1.0:
-        lsr = 1.0
-    state._lsr[t] = lsr
-    state._last_feedback = t
-    return lsr
+            raise ProtocolError(f"rcvd {rcvd} exceeds sent {sent} beyond tolerance")
+        return 0.0
+    return min(lsr, 1.0)

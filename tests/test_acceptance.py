@@ -197,7 +197,7 @@ def test_criterion_6_convergence_rate_trend():
     """Ratio non-decreasing in duration (0.02 tol) and >= 1 - 3 eps at 8x."""
     lines = []
     for epsilon in (0.2, 0.1, 0.05):
-        pilot = run(_trend_scenario(epsilon, 3000), keep_loss_events=False)
+        pilot = run(_trend_scenario(epsilon, 3000))
         pilot_report = competitive_ratio(pilot, None)
         threshold = pilot_report.duration_threshold
         assert threshold is not None and threshold > 0
@@ -206,7 +206,7 @@ def test_criterion_6_convergence_rate_trend():
         for k in (1, 2, 4, 8):
             duration = max(50, math.ceil(k * threshold))
             sc = _trend_scenario(epsilon, duration)
-            trace = run(sc, keep_loss_events=False)
+            trace = run(sc)
             last_report = competitive_ratio(trace, solve_opt(sc))
             assert 0.0 <= last_report.competitive_ratio <= 1.0 + 1e-9
             ratios.append(last_report.competitive_ratio)

@@ -14,8 +14,8 @@ from conftest import (
     single_link_scenario,
     step_resource,
 )
+from mimdsim import kernel
 from mimdsim.kernel import (
-    AdversarialContext,
     KernelError,
     allocate_loss,
     path_csv,
@@ -64,10 +64,10 @@ def test_two_paths_share_proportionally():
         epsilon=0.1,
     )
     trace = run(sc)
-    event = trace.resources["r"].events[0]
-    assert event.contributions == {"A": 100.0, "B": 50.0}
-    assert event.losses["A"] == pytest.approx(20.0, rel=1e-12)
-    assert event.losses["B"] == pytest.approx(10.0, rel=1e-12)
+    assert trace.resources["r"].into[0] == 150.0
+    assert trace.resources["r"].lost[0] == pytest.approx(30.0, rel=1e-12)
+    assert trace.paths["A"].lost[0] == pytest.approx(20.0, rel=1e-12)
+    assert trace.paths["B"].lost[0] == pytest.approx(10.0, rel=1e-12)
     assert trace.paths["A"].rcvd[0] == pytest.approx(80.0, rel=1e-12)
     assert trace.paths["B"].rcvd[0] == pytest.approx(40.0, rel=1e-12)
 
@@ -86,18 +86,43 @@ def test_allocate_loss_adversarial_with_fresh_budget():
     # excess 30, ratio 0.2; with eps = 0.6 the fresh budget for A is
     # (1 + 0.6) * 0.2 * 100 = 32, so the full excess lands on the target.
     policy = AdversarialFairLoss(seed=5, target_path="A")
-    ctx = AdversarialContext("A", {"A": 32.0, "B": 16.0}, seed=5)
-    losses = allocate_loss({"A": 100.0, "B": 50.0}, 120.0, policy, 0, ctx)
+    losses = allocate_loss({"A": 100.0, "B": 50.0}, 120.0, policy, 0, {"A": 32.0, "B": 16.0})
     assert losses == {"A": 30.0, "B": 0.0}
 
 
 def test_allocate_loss_adversarial_respects_budget_cap():
     policy = AdversarialFairLoss(seed=5, target_path="A")
-    ctx = AdversarialContext("A", {"A": 12.0, "B": 100.0}, seed=5)
-    losses = allocate_loss({"A": 100.0, "B": 50.0}, 120.0, policy, 0, ctx)
+    losses = allocate_loss({"A": 100.0, "B": 50.0}, 120.0, policy, 0, {"A": 12.0, "B": 100.0})
     assert losses["A"] == 12.0
     assert losses["B"] == pytest.approx(18.0)
     assert math.fsum(losses.values()) == pytest.approx(30.0, rel=1e-12)
+
+
+def test_allocate_loss_budget_shortfall_is_rejected(monkeypatch):
+    # budgets of 5 + 5 cannot cover an excess of 30: the allocator stays
+    # within them instead of moving the rest onto contributions ...
+    policy = AdversarialFairLoss(seed=5, target_path="A")
+    losses = allocate_loss({"A": 100.0, "B": 50.0}, 120.0, policy, 0, {"A": 5.0, "B": 5.0})
+    assert losses == {"A": 5.0, "B": 5.0}
+
+    # ... and run refuses the shortfall through its per-event conservation check
+    real = kernel.allocate_loss
+
+    def starved(contributions, cap, policy, round_idx, max_loss=None):
+        return real(contributions, cap, policy, round_idx, dict.fromkeys(contributions, 0.0))
+
+    monkeypatch.setattr(kernel, "allocate_loss", starved)
+    sc = Scenario(
+        resources=(constant_resource("r", 120.0),),
+        connections=(
+            simple_conn("A", ("r",), end=0, start_rate=100.0),
+            simple_conn("B", ("r",), end=0, start_rate=50.0),
+        ),
+        epsilon=0.6,
+        loss_policy=policy,
+    )
+    with pytest.raises(KernelError, match="excess was 30.0"):
+        run(sc)
 
 
 def test_adversarial_run_biases_target_within_fairness():
@@ -113,8 +138,8 @@ def test_adversarial_run_biases_target_within_fairness():
         loss_policy=AdversarialFairLoss(seed=9, target_path="A"),
     )
     trace = run(sc)
-    event = trace.resources["r"].events[0]
-    assert event.losses == {"A": 30.0, "B": 0.0}
+    assert trace.paths["A"].lost[0] == 30.0
+    assert trace.paths["B"].lost[0] == 0.0
     # cumulative check from the trace: A lost 0.3 of its cohort against a
     # traversed loss ratio of 0.2 -> smallest workable eps is 0.5 <= 0.6
     assert audit.measure_fairness(trace) == pytest.approx(0.5, rel=1e-12)
@@ -215,14 +240,37 @@ def test_proportional_policy_satisfies_exact_product_form():
 
 
 def test_event_losses_match_aggregate_ledger():
+    # every loss event splits exactly the excess, never more than a path put
+    # in, and never more than a budget that covers the excess allows ...
     rng = random.Random(31)
+    for _ in range(500):
+        pids = [f"p{j}" for j in range(rng.randint(1, 6))]
+        contributions = {pid: 0.0 if j and rng.random() < 0.2 else rng.uniform(0.1, 10.0)
+                         for j, pid in enumerate(pids)}
+        into = math.fsum(contributions.values())
+        cap = rng.uniform(0.0, into)
+        excess = into - cap
+        if rng.random() < 0.5:
+            policy, max_loss = ProportionalLoss(), None
+        else:
+            policy = AdversarialFairLoss(seed=rng.randrange(2**32), target_path=rng.choice(pids))
+            # at least the proportional share, so the budgets cover the excess
+            max_loss = {pid: c * excess / into * rng.uniform(1.0, 3.0)
+                        for pid, c in contributions.items()}
+        losses = allocate_loss(contributions, cap, policy, rng.randrange(100), max_loss)
+        assert math.fsum(losses.values()) == pytest.approx(excess, rel=1e-12, abs=1e-12)
+        for pid, loss in losses.items():
+            assert 0.0 <= loss <= contributions[pid]
+            if max_loss is not None:
+                assert loss <= max_loss[pid] * (1 + 1e-12)
+
+    # ... and the aggregate ledger records exactly that excess
     for _ in range(10):
         trace = run(random_scenario(rng))
         for led in trace.resources.values():
-            for t, event in led.events.items():
-                assert math.fsum(event.losses.values()) == pytest.approx(led.lost[t], rel=1e-12)
-                for pid, loss in event.losses.items():
-                    assert 0.0 <= loss <= event.contributions[pid] + 1e-12
+            for t in range(trace.horizon + 1):
+                excess = max(0.0, led.into[t] - led.cap[t])
+                assert led.lost[t] == pytest.approx(excess, rel=1e-12, abs=1e-12)
 
 
 def test_deterministic_traces_byte_identical():
@@ -248,16 +296,6 @@ def test_single_link_fixed_point_and_mixing_time():
         assert abs(rec.sent[t] - target_sent) <= 0.01 * target_sent
         if t >= mixing + 1:
             assert abs(rec.lsr[t] - 0.1) <= 0.01
-
-
-def test_loss_event_recording_is_optional():
-    sc = single_link_scenario(cap=10.0, duration=20, start_rate=30.0)
-    full = run(sc)
-    slim = run(sc, keep_loss_events=False)
-    assert full.resources["link"].events
-    assert not slim.resources["link"].events
-    assert list(full.resources["link"].lost) == list(slim.resources["link"].lost)
-    assert list(full.paths["p0"].rcvd) == list(slim.paths["p0"].rcvd)
 
 
 def test_empty_route_delivers_everything():
@@ -307,8 +345,8 @@ def _reference_run(sc):
     """Structurally independent proportional-policy simulator.
 
     Tracks cohorts in a flat (path, send round) map and recomputes each
-    resource's arrivals per round from transit offsets, instead of the
-    kernel's scheduled pending queues. Valid only when no two hops share a
+    resource's arrivals per round by searching every route, instead of the
+    kernel's precomputed schedule. Valid only when no two hops share a
     transit round, so resources can be processed in declaration order.
     """
     horizon = sc.horizon

@@ -16,6 +16,7 @@ from mimdsim.model import (
     emit_scenario,
     parse_scenario,
     pre_delay,
+    topo_order,
     validate,
 )
 
@@ -102,6 +103,14 @@ def test_cyclic_same_round_transits_rejected():
         epsilon=0.1,
     )
     assert any("cyclic" in v.message for v in validate(sc))
+
+
+def test_topo_order_takes_the_lowest_ready_index_and_flags_cycles():
+    nodes = ["a", "b", "c", "d", "e"]
+    assert topo_order(nodes, set()) == [0, 1, 2, 3, 4]
+    # d -> a and e -> b hold a and b back; c is ready before either
+    assert topo_order(nodes, {("d", "a"), ("e", "b")}) == [2, 3, 0, 4, 1]
+    assert topo_order(nodes, {("c", "a"), ("a", "c")}) is None
 
 
 def test_validate_is_idempotent_and_pure():

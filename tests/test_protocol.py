@@ -2,119 +2,70 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from conftest import random_scenario, simple_conn
+from conftest import constant_resource, random_scenario, simple_conn
 from mimdsim.kernel import run
-from mimdsim.protocol import (
-    PathState,
-    ProtocolError,
-    initial_rate,
-    record_feedback,
-    update_rate,
-)
-
-
-def fresh_state(*, delay=2, start=0, end=20, f0=5.0, alpha=0.01, beta=0.1) -> PathState:
-    conn = simple_conn(
-        "p", ("r",), start=start, end=end, delay=delay,
-        hop_delays=(delay,), start_rate=f0, alpha=alpha, beta=beta,
-    )
-    return PathState.for_run(conn)
+from mimdsim.model import Scenario
+from mimdsim.protocol import ProtocolError, loss_fraction, update_rate
 
 
 def test_initial_rate_covers_exactly_the_warmup_window():
-    state = fresh_state(delay=2, f0=5.0)
-    assert initial_rate(state, 0) == 5.0
-    assert initial_rate(state, 2) == 5.0
-    with pytest.raises(ProtocolError):
-        initial_rate(state, 3)
-    with pytest.raises(ProtocolError):
-        initial_rate(state, -1)
-
-
-def drive_warmup(state: PathState, rcvd_per_round):
-    """Record warm-up sends and the first feedbacks."""
-    conn = state.conn
-    for t in range(conn.start, conn.start + conn.total_delay + 1):
-        state.record_sent(t, initial_rate(state, t))
-    for t, rcvd in rcvd_per_round:
-        record_feedback(state, t, rcvd)
+    # delay 2 starting at round 1: rounds 1..3 send the start rate, round 4
+    # is the first update (lossless, so the multiplier is 1 + alpha)
+    sc = Scenario(
+        (constant_resource("r", math.inf),),
+        (simple_conn("p", ("r",), start=1, end=6, delay=2, hop_delays=(2,),
+                     start_rate=5.0, alpha=0.01, beta=0.1),),
+        epsilon=0.1,
+    )
+    sent = run(sc).paths["p"].sent
+    assert [sent[t] for t in range(5)] == [0.0, 5.0, 5.0, 5.0, 5.0 * 1.01]
 
 
 def test_update_rate_examples():
-    # delay 0: one warm-up round, then updates read lsr(t-1)
-    state = fresh_state(delay=0, f0=100.0, alpha=0.01, beta=0.1)
-    state.record_sent(0, 100.0)
-    record_feedback(state, 0, 100.0)          # lsr = 0
-    assert update_rate(state, 1) == pytest.approx(101.0, rel=1e-15)
-
-    state = fresh_state(delay=0, f0=100.0, alpha=0.01, beta=0.1)
-    state.record_sent(0, 100.0)
-    record_feedback(state, 0, 0.0)            # lsr = 1
-    assert update_rate(state, 1) == pytest.approx(91.0, rel=1e-15)
+    # lsr = 0 grows by 1 + alpha, lsr = 1 shrinks by 1 + alpha - beta
+    assert update_rate(100.0, loss_fraction(100.0, 100.0), 0.01, 0.1) == pytest.approx(
+        101.0, rel=1e-15
+    )
+    assert update_rate(100.0, loss_fraction(100.0, 0.0), 0.01, 0.1) == pytest.approx(
+        91.0, rel=1e-15
+    )
 
 
 def test_update_fixed_point_multiplier_is_exactly_one():
     # alpha/beta = 0.5 and lsr = 0.5 make the multiplier exactly 1 in floats
-    state = fresh_state(delay=0, f0=64.0, alpha=0.25, beta=0.5)
-    state.record_sent(0, 64.0)
-    record_feedback(state, 0, 32.0)           # lsr = 0.5
-    assert update_rate(state, 1) == 64.0
+    assert update_rate(64.0, loss_fraction(64.0, 32.0), 0.25, 0.5) == 64.0
 
 
-def test_update_requires_history_in_sequence():
-    state = fresh_state(delay=1)
-    state.record_sent(0, 5.0)
-    state.record_sent(1, 5.0)
+def test_loss_fraction_examples_and_clamping():
+    assert loss_fraction(100.0, 100.0) == 0.0
+    assert loss_fraction(100.0, 70.0) == 0.3
+    assert loss_fraction(100.0, 100.0 + 1e-13) == 0.0     # float residue is clamped
     with pytest.raises(ProtocolError):
-        update_rate(state, 2)                 # lsr(1) not yet recorded
+        loss_fraction(100.0, 100.0 + 1e-6)                 # beyond the clamp tolerance
     with pytest.raises(ProtocolError):
-        update_rate(state, 1)                 # still inside warm-up window
-
-
-def test_record_feedback_examples_and_clamping():
-    state = fresh_state(delay=0, f0=100.0)
-    state.record_sent(0, 100.0)
-    assert record_feedback(state, 0, 100.0) == 0.0
-
-    state = fresh_state(delay=0, f0=100.0)
-    state.record_sent(0, 100.0)
-    assert record_feedback(state, 0, 70.0) == 0.3
-
-    state = fresh_state(delay=0, f0=100.0)
-    state.record_sent(0, 100.0)
-    assert record_feedback(state, 0, 100.0 + 1e-13) == 0.0
-
-    state = fresh_state(delay=0, f0=100.0)
-    state.record_sent(0, 100.0)
-    with pytest.raises(ProtocolError):
-        record_feedback(state, 0, 100.0 + 1e-6)
-
-    state = fresh_state(delay=0, f0=100.0)
-    state.record_sent(0, 100.0)
-    with pytest.raises(ProtocolError):
-        record_feedback(state, 0, -1.0)
+        loss_fraction(100.0, -1.0)
 
 
 def test_lsr_outside_unit_interval_rejected_by_update():
-    state = fresh_state(delay=0, f0=10.0)
-    state.record_sent(0, 10.0)
-    record_feedback(state, 0, 10.0)
-    state._lsr[0] = 1.5                        # corrupt history deliberately
     with pytest.raises(ProtocolError):
-        update_rate(state, 1)
+        update_rate(10.0, 1.5, 0.01, 0.1)
+    with pytest.raises(ProtocolError):
+        update_rate(10.0, -0.1, 0.01, 0.1)
+
+
+def test_update_rejects_a_rate_that_underflows_to_zero():
+    with pytest.raises(ProtocolError, match="non-positive send rate"):
+        update_rate(5e-324, 1.0, 0.001, 0.99)
 
 
 def test_determinism_identical_history_identical_output():
     def build():
-        state = fresh_state(delay=1, f0=3.0, alpha=0.017, beta=0.23)
-        state.record_sent(0, 3.0)
-        state.record_sent(1, 3.0)
-        record_feedback(state, 1, 2.1)
-        return update_rate(state, 2)
+        return update_rate(3.0, loss_fraction(3.0, 2.1), 0.017, 0.23)
 
     assert build() == build()
 
@@ -135,9 +86,6 @@ def test_multiplier_bound_over_random_runs():
 def test_rates_stay_positive_under_total_loss():
     # cap 0 forces lsr = 1 every round; multiplier 1 + a - b stays > 0
     sc_conn = simple_conn("p", ("r",), end=30, start_rate=4.0, alpha=0.05, beta=0.6)
-    from conftest import constant_resource
-    from mimdsim.model import Scenario
-
     sc = Scenario((constant_resource("r", 0.0),), (sc_conn,), epsilon=0.1)
     trace = run(sc)
     rec = trace.paths["p"]
