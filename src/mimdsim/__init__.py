@@ -36,7 +36,6 @@ from .optimum import (
     OptimumError,
     OptimumSolution,
     UnboundedOptimumError,
-    brute_force_opt,
     export_solution,
     solution_to_dict,
     solve_opt,

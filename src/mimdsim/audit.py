@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import truediv
 from pathlib import Path
 
 from .kernel import RunTrace
@@ -59,17 +60,16 @@ class AuditReport:
 def max_received(trace: RunTrace, path_id: str) -> float:
     """Peak per-round amount received on the path over its arrival window."""
     c = trace.scenario.connection(path_id)
-    rec = trace.paths[path_id]
-    return max((rec.rcvd[t] for t in c.shifted_window().rounds()), default=0.0)
+    return max(trace.paths[path_id].rcvd[c.shifted_window().as_slice()], default=0.0)
 
 
 def check_lemma1(trace: RunTrace, path_id: str) -> float:
     """Slack of the throughput floor; >= 0 (up to float noise) on every run."""
     c = trace.scenario.connection(path_id)
     rec = trace.paths[path_id]
-    window = c.shifted_window().rounds()
-    total_rcvd = math.fsum(rec.rcvd[t] for t in window)
-    total_lost = math.fsum(rec.lost[t] for t in window)
+    window = c.shifted_window().as_slice()
+    total_rcvd = math.fsum(rec.rcvd[window])
+    total_lost = math.fsum(rec.lost[window])
     rhs = (c.beta / c.alpha - 1.0) * total_lost - (c.total_delay + 1) * c.start_rate / c.alpha
     return total_rcvd - rhs
 
@@ -81,7 +81,7 @@ def check_lemma3(trace: RunTrace, path_id: str) -> float | None:
     peak = max_received(trace, path_id)
     if peak <= 0.0:
         return None
-    total_lsr = math.fsum(rec.lsr[t] for t in c.shifted_window().rounds())
+    total_lsr = math.fsum(rec.lsr[c.shifted_window().as_slice()])
     growth = (
         c.alpha * (1.0 - c.beta) / (c.beta * (1.0 + c.alpha))
         * (c.duration - 1 - c.total_delay)
@@ -101,7 +101,7 @@ def sent_ceiling_slack(trace: RunTrace, path_id: str) -> float:
     """
     c = trace.scenario.connection(path_id)
     rec = trace.paths[path_id]
-    peak_sent = max((rec.sent[t] for t in c.active_window().rounds()), default=0.0)
+    peak_sent = max(rec.sent[c.active_window().as_slice()], default=0.0)
     ceiling = max(c.start_rate, max_received(trace, path_id) * c.beta / (c.beta - c.alpha))
     return ceiling * (1.0 + 1e-9) - peak_sent
 
@@ -110,17 +110,19 @@ def _fairness_sides(trace: RunTrace, path_id: str) -> tuple[float, float]:
     """(cumulative loss fraction, cumulative traversed resource loss ratios)."""
     c = trace.scenario.connection(path_id)
     rec = trace.paths[path_id]
-    lhs_terms = []
-    rhs_terms = []
-    for t in c.shifted_window().rounds():
-        lhs_terms.append(rec.lost[t] / rec.sent[t - c.total_delay])
-        for hop, rid in enumerate(c.route):
-            u = t - c.hop_delays[hop]
-            led = trace.resources[rid]
-            into = led.into[u]
-            if into > 0.0:
-                rhs_terms.append(led.lost[u] / into)
-    return math.fsum(lhs_terms), math.fsum(rhs_terms)
+    window = c.shifted_window()
+    lhs = math.fsum(map(truediv, rec.lost[window.as_slice()],
+                        rec.sent[c.active_window().as_slice()]))
+    # each hop's loss ratios over the rounds the path's cohorts crossed it
+    hops = [(trace.resources[rid], window.start - hd, window.end - hd + 1)
+            for rid, hd in zip(c.route, c.hop_delays)]
+    rhs = math.fsum(
+        lost / into
+        for led, lo, hi in hops
+        for lost, into in zip(led.lost[lo:hi], led.into[lo:hi])
+        if into > 0.0
+    )
+    return lhs, rhs
 
 
 def measure_fairness(trace: RunTrace) -> float:
@@ -159,7 +161,7 @@ def theorem_parameters(epsilon: float, val: float, beta_scale: float = 1.0) -> t
 
 def weighted_throughput(trace: RunTrace) -> float:
     return math.fsum(
-        c.value * math.fsum(trace.paths[c.id].rcvd[t] for t in c.shifted_window().rounds())
+        c.value * math.fsum(trace.paths[c.id].rcvd[c.shifted_window().as_slice()])
         for c in trace.scenario.connections
     )
 
@@ -169,7 +171,7 @@ def competitive_ratio(trace: RunTrace, opt: OptimumSolution | None) -> AuditRepo
     scenario = trace.scenario
     throughput = weighted_throughput(trace)
     total_lost_paths = math.fsum(
-        math.fsum(trace.paths[c.id].lost[t] for t in c.shifted_window().rounds())
+        math.fsum(trace.paths[c.id].lost[c.shifted_window().as_slice()])
         for c in scenario.connections
     )
     total_lost_resources = math.fsum(

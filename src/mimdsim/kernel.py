@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import zlib
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -202,7 +203,10 @@ def run(scenario: Scenario) -> RunTrace:
                 rate = c.start_rate
             else:
                 prev = rec.sent[t - 1 - c.total_delay]
-                rate = protocol.update_rate(prev, rec.lsr[t - 1], c.alpha, c.beta)
+                try:
+                    rate = protocol.update_rate(prev, rec.lsr[t - 1], c.alpha, c.beta)
+                except protocol.ProtocolError as exc:
+                    raise protocol.ProtocolError(f"path {c.id!r} round {t}: {exc}") from exc
             rec.sent[t] = rate
             survivors[k][t] = rate
 
@@ -254,7 +258,10 @@ def run(scenario: Scenario) -> RunTrace:
             got = survivors[k][s]
             rec.rcvd[t] = got
             rec.lost[t] = rec.sent[s] - got
-            rec.lsr[t] = protocol.loss_fraction(rec.sent[s], got)
+            try:
+                rec.lsr[t] = protocol.loss_fraction(rec.sent[s], got)
+            except protocol.ProtocolError as exc:
+                raise protocol.ProtocolError(f"path {c.id!r} round {t}: {exc}") from exc
 
     trace = RunTrace(
         scenario=scenario,
@@ -269,7 +276,7 @@ def run(scenario: Scenario) -> RunTrace:
 def _check_global_conservation(trace: RunTrace) -> None:
     """Every packet dropped at a resource must surface as an end-to-end loss."""
     path_lost = math.fsum(
-        math.fsum(trace.paths[c.id].lost[t] for t in c.shifted_window().rounds())
+        math.fsum(trace.paths[c.id].lost[c.shifted_window().as_slice()])
         for c in trace.scenario.connections
     )
     res_lost = math.fsum(math.fsum(led.lost) for led in trace.resources.values())
@@ -281,37 +288,44 @@ def _check_global_conservation(trace: RunTrace) -> None:
 
 # ---------------------------------------------------------------------------
 # Trace export: per-path CSV `round,sent,rcvd,lost,lsr` and per-resource CSV
-# `round,into,lost,cap`, column order fixed.
+# `round,into,lost,cap`, column order fixed. Files are written in chunks of
+# at most _CSV_CHUNK_ROWS rows, so export memory does not grow with the horizon.
 # ---------------------------------------------------------------------------
+
+_CSV_CHUNK_ROWS = 4096
+_PATH_COLUMNS = ("sent", "rcvd", "lost", "lsr")
+_RESOURCE_COLUMNS = ("into", "lost", "cap")
+
+
+def _csv_chunks(record: PathRecord | ResourceLedger, columns: tuple[str, ...],
+                n_rounds: int) -> Iterator[str]:
+    """The CSV text of one record: the header line, then chunks of rows."""
+    yield ",".join(("round",) + columns) + "\n"
+    row = ",".join(["%r"] * (1 + len(columns))) + "\n"
+    arrays = [getattr(record, name) for name in columns]
+    for lo in range(0, n_rounds, _CSV_CHUNK_ROWS):
+        hi = min(lo + _CSV_CHUNK_ROWS, n_rounds)
+        yield "".join([row % r for r in zip(range(lo, hi), *(a[lo:hi] for a in arrays))])
 
 
 def path_csv(trace: RunTrace, path_id: str) -> str:
-    rec = trace.paths[path_id]
-    lines = ["round,sent,rcvd,lost,lsr"]
-    for t in range(trace.horizon + 1):
-        lines.append(f"{t},{rec.sent[t]!r},{rec.rcvd[t]!r},{rec.lost[t]!r},{rec.lsr[t]!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(trace.paths[path_id], _PATH_COLUMNS, trace.horizon + 1))
 
 
 def resource_csv(trace: RunTrace, resource_id: str) -> str:
-    led = trace.resources[resource_id]
-    lines = ["round,into,lost,cap"]
-    for t in range(trace.horizon + 1):
-        lines.append(f"{t},{led.into[t]!r},{led.lost[t]!r},{led.cap[t]!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(trace.resources[resource_id], _RESOURCE_COLUMNS,
+                               trace.horizon + 1))
 
 
 def export_trace(trace: RunTrace, outdir: str | Path) -> list[Path]:
     """Write all per-path and per-resource CSVs; returns the paths written."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for c in trace.scenario.connections:
-        p = outdir / f"path_{c.id}.csv"
-        p.write_text(path_csv(trace, c.id))
-        written.append(p)
-    for r in trace.scenario.resources:
-        p = outdir / f"resource_{r.id}.csv"
-        p.write_text(resource_csv(trace, r.id))
-        written.append(p)
-    return written
+    files = [(outdir / f"path_{c.id}.csv", trace.paths[c.id], _PATH_COLUMNS)
+             for c in trace.scenario.connections]
+    files += [(outdir / f"resource_{r.id}.csv", trace.resources[r.id], _RESOURCE_COLUMNS)
+              for r in trace.scenario.resources]
+    for p, record, columns in files:
+        with p.open("w") as f:
+            f.writelines(_csv_chunks(record, columns, trace.horizon + 1))
+    return [p for p, _, _ in files]

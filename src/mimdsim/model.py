@@ -109,6 +109,10 @@ class RoundWindow:
     def rounds(self) -> range:
         return range(self.start, self.end + 1)
 
+    def as_slice(self) -> slice:
+        """The window as a slice of a per-round array."""
+        return slice(self.start, self.end + 1)
+
 
 @dataclass(frozen=True)
 class ConnectionSpec:

@@ -7,8 +7,9 @@ during [s + pre_delay, e + pre_delay]. Constraint rows exist only for
 identical active set collapse to the binding (minimum-capacity) row, which
 keeps the LP tiny regardless of horizon length.
 
-``solve_opt`` uses a dense LP solver; ``brute_force_opt`` is an independent
-exhaustive grid enumeration for cross-checking small instances in tests.
+``solve_opt`` hands the rows to HiGHS as a sparse 0/1 matrix. The binding
+constraints are reported as inclusive round ranges per resource, one per
+run of binding segments, so their size does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from .model import Scenario, require_valid
 
@@ -41,7 +43,7 @@ class OptimumSolution:
 
     rates: dict[str, float]
     opt_value: float
-    tight_constraints: tuple[tuple[str, int], ...]
+    tight_constraints: tuple[tuple[str, int, int], ...]   # (resource, first, last round)
 
 
 @dataclass(frozen=True)
@@ -86,18 +88,26 @@ def _weights(scenario: Scenario) -> list[float]:
     return [c.value * c.duration for c in scenario.connections]
 
 
-def _tight_pairs(
+def _tight_ranges(
     scenario: Scenario, segments: list[_Segment], rates: dict[str, float]
-) -> tuple[tuple[str, int], ...]:
+) -> tuple[tuple[str, int, int], ...]:
+    """Inclusive (resource, first, last) round ranges where capacity binds.
+
+    Adjacent binding segments of one resource merge into one range.
+    """
     conns = scenario.connections
-    pairs: list[tuple[str, int]] = []
+    ranges: list[tuple[str, int, int]] = []
     for seg in segments:
         if math.isinf(seg.cap):
             continue
         load = math.fsum(rates[conns[k].id] for k in seg.active)
-        if load >= seg.cap - 1e-7 * max(1.0, seg.cap):
-            pairs.extend((seg.resource_id, t) for t in range(seg.lo, seg.hi))
-    return tuple(pairs)
+        if not load >= seg.cap - 1e-7 * max(1.0, seg.cap):
+            continue
+        if ranges and ranges[-1][0] == seg.resource_id and ranges[-1][2] == seg.lo - 1:
+            ranges[-1] = (seg.resource_id, ranges[-1][1], seg.hi - 1)
+        else:
+            ranges.append((seg.resource_id, seg.lo, seg.hi - 1))
+    return tuple(ranges)
 
 
 def solve_opt(scenario: Scenario) -> OptimumSolution:
@@ -114,7 +124,7 @@ def solve_opt(scenario: Scenario) -> OptimumSolution:
     var_of = [k for k, w in enumerate(weights) if w > 0]
     rates = {c.id: 0.0 for c in conns}
     if not var_of:
-        return OptimumSolution(rates, 0.0, _tight_pairs(scenario, segments, rates))
+        return OptimumSolution(rates, 0.0, _tight_ranges(scenario, segments, rates))
 
     col = {k: j for j, k in enumerate(var_of)}
     rows: dict[tuple[int, ...], float] = {}
@@ -137,11 +147,11 @@ def solve_opt(scenario: Scenario) -> OptimumSolution:
             )
 
     n = len(var_of)
-    a_ub = np.zeros((len(rows), n))
-    b_ub = np.zeros(len(rows))
-    for i, (members, cap) in enumerate(sorted(rows.items())):
-        a_ub[i, list(members)] = 1.0
-        b_ub[i] = cap
+    ordered = sorted(rows.items())
+    indices = [j for members, _ in ordered for j in members]
+    indptr = np.cumsum([0] + [len(members) for members, _ in ordered])
+    a_ub = csr_array((np.ones(len(indices)), indices, indptr), shape=(len(ordered), n))
+    b_ub = np.array([cap for _, cap in ordered], dtype=float)
     c_obj = np.array([-weights[k] for k in var_of])
     res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * n, method="highs")
     if res.status == 3:
@@ -159,71 +169,14 @@ def solve_opt(scenario: Scenario) -> OptimumSolution:
                 f"[{seg.lo},{seg.hi}): load {load} > cap {seg.cap}"
             )
     value = math.fsum(weights[k] * rates[conns[k].id] for k in range(len(conns)))
-    return OptimumSolution(rates, value, _tight_pairs(scenario, segments, rates))
-
-
-def brute_force_opt(scenario: Scenario, resolution: float) -> OptimumSolution:
-    """Exhaustive grid search over per-path rate vectors (tests only).
-
-    Enumerates multiples of ``resolution`` per path up to the path's single
-    tightest capacity and returns the best feasible vector; independent of
-    the LP route.
-    """
-    require_valid(scenario)
-    if not resolution > 0:
-        raise ValueError("resolution must be positive")
-    conns = scenario.connections
-    if len(conns) > 4:
-        raise ValueError("too many paths for brute force (max 4)")
-    weights = _weights(scenario)
-    segments = _segments(scenario)
-    rates = {c.id: 0.0 for c in conns}
-    if not conns:
-        return OptimumSolution(rates, 0.0, ())
-
-    ubs = []
-    for k, c in enumerate(conns):
-        caps = [seg.cap for seg in segments if k in seg.active and not math.isinf(seg.cap)]
-        if not caps:
-            if weights[k] > 0:
-                raise UnboundedOptimumError(
-                    f"unbounded: path {c.id!r} meets no finite capacity"
-                )
-            ubs.append(0.0)
-        else:
-            ubs.append(min(caps))
-
-    axes = []
-    cells = 1
-    for ub in ubs:
-        count = int(math.floor(ub / resolution + 1e-9)) + 1
-        axes.append(resolution * np.arange(count))
-        cells *= count
-    if cells > 20_000_000:
-        raise ValueError(f"grid too large ({cells} cells); coarsen the resolution")
-
-    n = len(conns)
-    shaped = [ax.reshape([-1 if i == k else 1 for i in range(n)]) for k, ax in enumerate(axes)]
-    objective = sum(weights[k] * shaped[k] for k in range(n)) + np.zeros([len(a) for a in axes])
-    for seg in segments:
-        if math.isinf(seg.cap):
-            continue
-        load = sum(shaped[k] for k in seg.active) + np.zeros(objective.shape)
-        objective[load > seg.cap + 1e-9] = -np.inf
-
-    best_flat = int(np.argmax(objective))
-    best_idx = np.unravel_index(best_flat, objective.shape)
-    for k, c in enumerate(conns):
-        rates[c.id] = float(axes[k][best_idx[k]])
-    value = math.fsum(weights[k] * rates[conns[k].id] for k in range(n))
-    return OptimumSolution(rates, value, _tight_pairs(scenario, segments, rates))
+    return OptimumSolution(rates, value, _tight_ranges(scenario, segments, rates))
 
 
 def solution_to_dict(solution: OptimumSolution) -> dict:
     return {
         "rates": dict(solution.rates),
         "opt_value": solution.opt_value,
-        "tight_constraints": [[rid, t] for rid, t in solution.tight_constraints],
+        "tight_constraints": [list(entry) for entry in solution.tight_constraints],
     }
 
 

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from brute_force import brute_force_opt
 from conftest import (
     constant_resource,
     grid_resolution,
@@ -31,7 +32,7 @@ from mimdsim.model import (
     ResourceSpec,
     Scenario,
 )
-from mimdsim.optimum import brute_force_opt, solve_opt
+from mimdsim.optimum import solve_opt
 
 SUITE_SEED = 0xC0FFEE
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,17 @@ def test_opt_mode_unbounded_exits_3(tmp_path, capsys):
     sc.write_text(json.dumps(doc))
     assert main(["--scenario", str(sc), "--mode", "opt", "--out", str(tmp_path / "o")]) == 3
     assert "unbounded" in capsys.readouterr().err
+
+
+def test_rate_underflow_exits_3_and_names_the_path(tmp_path, capsys):
+    doc = json.loads(SINGLE.read_text())
+    doc["resources"][0]["capacity"] = [{"from_round": 0, "value": 0.0}]
+    doc["connections"][0].update(alpha=0.001, beta=0.99, start_rate=1.0)
+    sc = tmp_path / "underflow.json"
+    sc.write_text(json.dumps(doc))
+    assert main(["--scenario", str(sc), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "path 'flow' round 166" in err and "non-positive send rate" in err
 
 
 def test_simulate_still_runs_when_opt_is_unbounded(tmp_path, capsys):
@@ -186,10 +198,12 @@ def test_seed_override_keeps_runs_deterministic(tmp_path):
 
 def test_module_entrypoint_runs_as_subprocess(tmp_path):
     out = tmp_path / "out"
+    # the child does not inherit pytest's pythonpath, so hand it src explicitly
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mimdsim",
          "--scenario", str(SINGLE), "--mode", "audit", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ratio=")

@@ -28,6 +28,7 @@ from mimdsim.model import (
     Scenario,
     ScenarioValidationError,
 )
+from mimdsim.protocol import ProtocolError
 
 
 def test_lossless_geometric_growth():
@@ -189,6 +190,14 @@ def test_run_requires_valid_scenario():
         run(bad)
 
 
+def test_rate_underflow_error_names_the_path_and_round():
+    # capacity 0 drops everything, so each update multiplies by 1 + 0.001 - 0.99
+    # until the rate underflows to 0.0 in round 166
+    sc = single_link_scenario(cap=0.0, duration=400, alpha=0.001, beta=0.99, start_rate=1.0)
+    with pytest.raises(ProtocolError, match=r"path 'p0' round 166: non-positive send rate"):
+        run(sc)
+
+
 def test_congested_only_discard_property():
     rng = random.Random(2024)
     for _ in range(15):
@@ -282,6 +291,16 @@ def test_deterministic_traces_byte_identical():
             assert path_csv(t1, c.id) == path_csv(t2, c.id)
         for r in sc.resources:
             assert resource_csv(t1, r.id) == resource_csv(t2, r.id)
+
+
+def test_export_trace_files_equal_the_csv_strings_across_chunks(tmp_path):
+    sc = single_link_scenario(cap=50.0, duration=2 * kernel._CSV_CHUNK_ROWS + 123)
+    trace = run(sc)
+    written = kernel.export_trace(trace, tmp_path)
+    assert [p.name for p in written] == ["path_p0.csv", "resource_link.csv"]
+    assert written[0].read_bytes() == path_csv(trace, "p0").encode()
+    assert written[1].read_bytes() == resource_csv(trace, "link").encode()
+    assert len(written[0].read_text().splitlines()) == 1 + trace.horizon + 1
 
 
 def test_single_link_fixed_point_and_mixing_time():

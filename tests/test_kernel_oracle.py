@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import oracle_kernel
 from conftest import constant_resource, random_scenario, simple_conn, step_resource
@@ -26,6 +27,19 @@ def test_random_scenarios_export_identically_under_both_policies():
         policies[type(sc.loss_policy)] += 1
         assert_identical_exports(sc)
     assert min(policies.values()) >= 50
+
+
+def test_random_scenarios_with_shuffled_resource_declarations_export_identically():
+    # random_scenario routes follow resource index order, so declaration order
+    # is always a valid same-round order there; shuffling the declarations
+    # makes the schedule's topological sort matter
+    rng = random.Random(0x5EED)
+    shuffle_rng = random.Random(0xD1CE)
+    for _ in range(160):
+        sc = random_scenario(rng)
+        resources = list(sc.resources)
+        shuffle_rng.shuffle(resources)
+        assert_identical_exports(replace(sc, resources=tuple(resources)))
 
 
 def test_same_round_chain_exports_identically():

@@ -7,13 +7,18 @@ import random
 
 import pytest
 
-from conftest import constant_resource, grid_resolution, lp_instance, simple_conn, step_resource
-from mimdsim.model import CapacityTimeline, ResourceSpec, Scenario
-from mimdsim.optimum import (
-    UnboundedOptimumError,
-    brute_force_opt,
-    solve_opt,
+from brute_force import brute_force_opt
+from conftest import (
+    constant_resource,
+    grid_resolution,
+    lp_instance,
+    random_scenario,
+    simple_conn,
+    single_link_scenario,
+    step_resource,
 )
+from mimdsim.model import CapacityTimeline, ResourceSpec, Scenario
+from mimdsim.optimum import UnboundedOptimumError, export_solution, solve_opt
 
 
 def test_single_path_single_constraint():
@@ -25,7 +30,7 @@ def test_single_path_single_constraint():
     sol = solve_opt(sc)
     assert sol.rates["p"] == pytest.approx(10.0, rel=1e-9)
     assert sol.opt_value == pytest.approx(50.0, rel=1e-9)
-    assert ("r", 0) in sol.tight_constraints and ("r", 4) in sol.tight_constraints
+    assert sol.tight_constraints == (("r", 0, 4),)
 
 
 def test_mass_goes_to_the_highest_value_path():
@@ -184,3 +189,57 @@ def test_constraint_timing_uses_the_pre_delay_shift():
     )
     sol = solve_opt(sc)
     assert sol.rates["p"] == pytest.approx(50.0, rel=1e-9)
+
+
+def _binding_rounds(sc: Scenario, rates: dict[str, float]) -> set[tuple[str, int]]:
+    """Independent per-round rule: finite capacity, loaded, and filled to 1e-7."""
+    out = set()
+    for r in sc.resources:
+        caps = r.capacity.values_until(sc.horizon)
+        spans = [(c.id, c.start + pre, c.end + pre)
+                 for c in sc.connections if r.id in c.route
+                 for pre in [c.pre_delay_at(c.route.index(r.id))]]
+        for t, cap in enumerate(caps):
+            loads = [rates[cid] for cid, lo, hi in spans if lo <= t <= hi]
+            if math.isinf(cap) or not loads:
+                continue
+            if math.fsum(loads) >= cap - 1e-7 * max(1.0, cap):
+                out.add((r.id, t))
+    return out
+
+
+def test_tight_ranges_expand_to_the_per_round_binding_set():
+    rng = random.Random(41)
+    scenarios = [lp_instance(rng) for _ in range(25)] + [random_scenario(rng) for _ in range(25)]
+    for sc in scenarios:
+        sol = solve_opt(sc)
+        expanded = [(rid, t) for rid, lo, hi in sol.tight_constraints for t in range(lo, hi + 1)]
+        assert len(expanded) == len(set(expanded))
+        assert set(expanded) == _binding_rounds(sc, sol.rates)
+        last: dict[str, int] = {}
+        for rid, lo, hi in sol.tight_constraints:
+            assert lo <= hi
+            # sorted, disjoint and non-adjacent: adjacent ranges would have merged
+            assert lo > last.get(rid, -2) + 1
+            last[rid] = hi
+
+
+def test_optimum_json_stays_small_on_a_long_run(tmp_path):
+    sc = single_link_scenario(cap=100.0, duration=20_000)
+    sol = solve_opt(sc)
+    assert sol.tight_constraints == (("link", 0, 19_999),)
+    path = export_solution(sol, tmp_path / "optimum.json")
+    assert path.stat().st_size < 1024
+
+
+def test_adjacent_binding_segments_merge_into_one_range():
+    # p alone binds r over rounds 0-4 at cap 10; from round 5 on q joins and
+    # the capacity doubles, so r binds again in a second, adjacent segment
+    sc = Scenario(
+        resources=(step_resource("r", [(0, 10.0), (5, 20.0)]),),
+        connections=(simple_conn("p", ("r",), end=9), simple_conn("q", ("r",), start=5, end=9)),
+        epsilon=0.1,
+    )
+    sol = solve_opt(sc)
+    assert sol.rates == pytest.approx({"p": 10.0, "q": 10.0})
+    assert sol.tight_constraints == (("r", 0, 9),)
