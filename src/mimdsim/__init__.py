@@ -15,7 +15,6 @@ from .model import (
     Violation,
     emit_scenario,
     parse_scenario,
-    pre_delay,
     scenario_from_dict,
     scenario_to_dict,
     validate,

@@ -277,17 +277,18 @@ def execute(config: RunConfig) -> int:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"output directory is not writable: {exc}") from exc
-    if config.mode == "simulate":
-        return cmd_simulate(
-            scenario, config.out_dir,
-            list(config.sweep_epsilon) if config.sweep_epsilon else None,
-            list(config.sweep_duration) if config.sweep_duration else None,
-        )
-    if config.mode == "audit":
-        return cmd_audit(scenario, config.out_dir)
-    if config.mode == "opt":
-        return cmd_opt(scenario, config.out_dir)
-    return cmd_bandwidth_test(scenario, config.out_dir)
+    with optimum.lp_worker():
+        if config.mode == "simulate":
+            return cmd_simulate(
+                scenario, config.out_dir,
+                list(config.sweep_epsilon) if config.sweep_epsilon else None,
+                list(config.sweep_duration) if config.sweep_duration else None,
+            )
+        if config.mode == "audit":
+            return cmd_audit(scenario, config.out_dir)
+        if config.mode == "opt":
+            return cmd_opt(scenario, config.out_dir)
+        return cmd_bandwidth_test(scenario, config.out_dir)
 
 
 def main(argv: list[str] | None = None) -> int:

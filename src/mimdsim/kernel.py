@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import zlib
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,8 +73,14 @@ class RunTrace:
     resources: dict[str, ResourceLedger]
 
 
-def _tiebreak_key(seed: int, round_idx: int, pid: str) -> int:
-    return zlib.crc32(f"{seed}:{round_idx}:{pid}".encode())
+def _tiebreak_order(seed: int, round_idx: int, pids: Iterable[str]) -> list[str]:
+    """``pids`` sorted by (CRC-32 of ``f"{seed}:{round_idx}:{pid}"``, pid).
+
+    The shared prefix is hashed once per call; chaining each id onto its
+    CRC gives the CRC of the whole key.
+    """
+    prefix = zlib.crc32(f"{seed}:{round_idx}:".encode())
+    return sorted(pids, key=lambda pid: (zlib.crc32(pid.encode(), prefix), pid))
 
 
 def allocate_loss(
@@ -122,9 +128,8 @@ def allocate_loss(
             losses[target] = take
             need -= take
 
-    others = sorted(
-        (pid for pid in contributions if pid != target),
-        key=lambda pid: (_tiebreak_key(policy.seed, round_idx, pid), pid),
+    others = _tiebreak_order(
+        policy.seed, round_idx, (pid for pid in contributions if pid != target)
     )
     caps = {pid: min(contributions[pid], budgets.get(pid, math.inf)) for pid in others}
     active = [pid for pid in others if caps[pid] > 0]

@@ -10,18 +10,22 @@ keeps the LP tiny regardless of horizon length.
 ``solve_opt`` hands the rows to HiGHS as a sparse 0/1 matrix. The binding
 constraints are reported as inclusive round ranges per resource, one per
 run of binding segments, so their size does not grow with the horizon.
+
+Only ``_highs``, the one call into HiGHS, and the worker that runs it
+import numpy and scipy. Inside ``with lp_worker():`` that call runs in a
+forked worker process, which imports scipy as soon as it starts, beside
+the caller's own work.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_array
 
 from .model import Scenario, require_valid
 
@@ -44,6 +48,112 @@ class OptimumSolution:
     rates: dict[str, float]
     opt_value: float
     tight_constraints: tuple[tuple[str, int, int], ...]   # (resource, first, last round)
+
+
+def _highs(
+    c_obj: list[float], rows: list[tuple[int, ...]], b_ub: list[float], n: int
+) -> tuple[int, str, list[float] | None]:
+    """Minimize c_obj.x subject to sum(x[j] for j in rows[i]) <= b_ub[i], x >= 0.
+
+    Returns HiGHS's status, message and x, all as plain Python objects, so a
+    caller that receives them from a worker never imports numpy.
+    """
+    import numpy as np
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
+
+    indices = [j for members in rows for j in members]
+    indptr = np.cumsum([0] + [len(members) for members in rows])
+    a_ub = csr_array((np.ones(len(indices)), indices, indptr), shape=(len(rows), n))
+    res = linprog(np.array(c_obj), A_ub=a_ub, b_ub=np.array(b_ub, dtype=float),
+                  bounds=[(0, None)] * n, method="highs")
+    return int(res.status), str(res.message), None if res.x is None else res.x.tolist()
+
+
+_worker = None   # (requests, results) pipes of the open lp_worker, if any
+
+
+def _serve(requests, results) -> None:
+    """Worker loop: import scipy at once, then answer ``_highs`` calls until EOF."""
+    import pickle
+
+    try:
+        import scipy.optimize  # noqa: F401
+        import scipy.sparse  # noqa: F401
+    except ImportError:
+        pass   # _highs raises it again, and the caller is told
+    while True:
+        try:
+            args = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            reply = (True, _highs(*args))
+        except Exception as exc:
+            reply = (False, repr(exc))
+        pickle.dump(reply, results)
+        results.flush()
+
+
+@contextmanager
+def lp_worker():
+    """Send every ``_highs`` call made inside the block to one forked worker.
+
+    The worker is forked, and starts importing scipy, on entry. On exit its
+    request pipe is closed and it is reaped; when the block raises, it is
+    killed first. A worker whose parent dies reads EOF and exits. Where the
+    platform has no ``fork``, the block solves in-process. Enter it only in
+    a process that runs no other thread, since the fork copies just the
+    calling one.
+    """
+    global _worker
+    if not hasattr(os, "fork"):
+        yield
+        return
+    req_r, req_w = os.pipe()
+    res_r, res_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(req_w)
+        os.close(res_r)
+        code = 1
+        try:
+            with open(req_r, "rb") as requests, open(res_w, "wb") as results:
+                _serve(requests, results)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(req_r)
+    os.close(res_w)
+    outer = _worker
+    with open(req_w, "wb") as requests, open(res_r, "rb") as results:
+        _worker = (requests, results)
+        try:
+            yield
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)   # no answer is wanted; do not wait for its import
+            raise
+        finally:
+            _worker = outer
+            requests.close()
+            os.waitpid(pid, 0)
+
+
+def _solve_lp(*args) -> tuple[int, str, list[float] | None]:
+    if _worker is None:
+        return _highs(*args)
+    import pickle
+
+    requests, results = _worker
+    try:
+        pickle.dump(args, requests)
+        requests.flush()
+        ok, reply = pickle.load(results)
+    except (OSError, EOFError, pickle.UnpicklingError) as exc:
+        raise OptimumError(f"LP worker died: {exc!r}") from exc
+    if not ok:
+        raise OptimumError(f"LP worker failed: {reply}")
+    return reply
 
 
 @dataclass(frozen=True)
@@ -146,21 +256,20 @@ def solve_opt(scenario: Scenario) -> OptimumSolution:
                 f"unbounded: path {conns[k].id!r} meets no finite capacity"
             )
 
-    n = len(var_of)
     ordered = sorted(rows.items())
-    indices = [j for members, _ in ordered for j in members]
-    indptr = np.cumsum([0] + [len(members) for members, _ in ordered])
-    a_ub = csr_array((np.ones(len(indices)), indices, indptr), shape=(len(ordered), n))
-    b_ub = np.array([cap for _, cap in ordered], dtype=float)
-    c_obj = np.array([-weights[k] for k in var_of])
-    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * n, method="highs")
-    if res.status == 3:
+    status, message, x = _solve_lp(
+        [-weights[k] for k in var_of],
+        [members for members, _ in ordered],
+        [cap for _, cap in ordered],
+        len(var_of),
+    )
+    if status == 3:
         raise UnboundedOptimumError("unbounded")
-    if res.status != 0:
-        raise OptimumError(f"LP solve failed with status {res.status}: {res.message}")
+    if status != 0:
+        raise OptimumError(f"LP solve failed with status {status}: {message}")
 
     for k in var_of:
-        rates[conns[k].id] = max(0.0, float(res.x[col[k]]))
+        rates[conns[k].id] = max(0.0, x[col[k]])
     for seg in segments:
         load = math.fsum(rates[conns[k].id] for k in seg.active)
         if load > seg.cap + FEASIBILITY_ATOL:

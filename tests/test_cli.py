@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -196,14 +197,34 @@ def test_seed_override_keeps_runs_deterministic(tmp_path):
     assert (out_a / "audit.json").read_bytes() == (out_b / "audit.json").read_bytes()
 
 
+def _src_env() -> dict[str, str]:
+    # a child does not inherit pytest's pythonpath, so hand it src explicitly
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
 def test_module_entrypoint_runs_as_subprocess(tmp_path):
     out = tmp_path / "out"
-    # the child does not inherit pytest's pythonpath, so hand it src explicitly
-    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mimdsim",
          "--scenario", str(SINGLE), "--mode", "audit", "--out", str(out)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ratio=")
+
+
+def test_reimporting_the_main_module_does_not_run_the_cli(tmp_path, monkeypatch, capsys):
+    # spawn and forkserver workers re-run the parent's main module under this name
+    monkeypatch.chdir(tmp_path)
+    runpy.run_module("mimdsim.__main__", run_name="__mp_main__")
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr() == ("", "")
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_scipy():
+    probe = ("import sys, mimdsim, mimdsim.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_src_env(), check=True)
+    assert proc.stdout == "[]\n"

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+import string
 from dataclasses import replace
 
 import oracle_kernel
 from conftest import constant_resource, random_scenario, simple_conn, step_resource
-from mimdsim.kernel import path_csv, resource_csv, run
+from mimdsim.kernel import _tiebreak_order, path_csv, resource_csv, run
 from mimdsim.model import AdversarialFairLoss, ProportionalLoss, Scenario
 
 
@@ -68,3 +69,15 @@ def test_same_round_chain_exports_identically():
     adversarial = Scenario(sc.resources, sc.connections, sc.epsilon,
                            AdversarialFairLoss(seed=3, target_path="p1"))
     assert_identical_exports(adversarial)
+
+
+def test_chained_tiebreak_order_equals_the_whole_key_crc_order():
+    rng = random.Random(0xC2C)
+    alphabet = string.ascii_letters + string.digits + "_-.é"
+    for _ in range(300):
+        seed = rng.choice([0, 1, 7, rng.randrange(2**31), -rng.randrange(2**31)])
+        round_idx = rng.randrange(200_000)
+        pids = list({"".join(rng.choices(alphabet, k=rng.randint(1, 12)))
+                     for _ in range(rng.randint(1, 30))})
+        want = sorted(pids, key=lambda p: (oracle_kernel._tiebreak_key(seed, round_idx, p), p))
+        assert _tiebreak_order(seed, round_idx, pids) == want
