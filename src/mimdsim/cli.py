@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import audit, kernel, optimum
@@ -37,18 +37,6 @@ class UsageError(ValueError):
     """Bad flags or a scenario that does not fit the requested mode."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: where to read, where to write, what to do."""
-
-    scenario_path: Path
-    out_dir: Path
-    mode: str = "simulate"
-    seed: int | None = None
-    sweep_epsilon: tuple[float, ...] | None = None
-    sweep_duration: tuple[float, ...] | None = None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mimdsim",
@@ -71,7 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str | None, flag: str) -> list[float] | None:
+    if not text:
+        return None
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
@@ -256,46 +246,33 @@ def cmd_bandwidth_test(scenario: Scenario, outdir: Path) -> int:
     return EXIT_OK
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    sweep_eps = _parse_list(args.sweep_epsilon, "--sweep-epsilon") if args.sweep_epsilon else None
-    sweep_dur = _parse_list(args.sweep_duration, "--sweep-duration") if args.sweep_duration else None
-    if args.mode != "simulate" and (sweep_eps or sweep_dur):
-        raise UsageError("sweeps are only available in simulate mode")
-    return RunConfig(
-        scenario_path=Path(args.scenario),
-        out_dir=Path(args.out),
-        mode=args.mode,
-        seed=args.seed,
-        sweep_epsilon=tuple(sweep_eps) if sweep_eps else None,
-        sweep_duration=tuple(sweep_dur) if sweep_dur else None,
-    )
-
-
-def execute(config: RunConfig) -> int:
-    scenario = load_scenario(config.scenario_path, config.seed)
-    try:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"output directory is not writable: {exc}") from exc
-    with optimum.lp_worker():
-        if config.mode == "simulate":
-            return cmd_simulate(
-                scenario, config.out_dir,
-                list(config.sweep_epsilon) if config.sweep_epsilon else None,
-                list(config.sweep_duration) if config.sweep_duration else None,
-            )
-        if config.mode == "audit":
-            return cmd_audit(scenario, config.out_dir)
-        if config.mode == "opt":
-            return cmd_opt(scenario, config.out_dir)
-        return cmd_bandwidth_test(scenario, config.out_dir)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return execute(config_from_args(args))
+        sweep_eps = _parse_list(args.sweep_epsilon, "--sweep-epsilon")
+        sweep_dur = _parse_list(args.sweep_duration, "--sweep-duration")
+        if args.mode != "simulate" and (sweep_eps or sweep_dur):
+            raise UsageError("sweeps are only available in simulate mode")
+        for eps in sweep_eps or ():
+            if not 0.0 < eps < 1.0:
+                raise UsageError(f"--sweep-epsilon: {eps!r} is not in (0, 1)")
+        for dur in sweep_dur or ():
+            if not (math.isfinite(dur) and dur > 0.0):
+                raise UsageError(f"--sweep-duration: {dur!r} is not a finite value > 0")
+        scenario = load_scenario(args.scenario, args.seed)
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"output directory is not writable: {exc}") from exc
+        with optimum.lp_worker():
+            if args.mode == "simulate":
+                return cmd_simulate(scenario, out_dir, sweep_eps, sweep_dur)
+            if args.mode == "audit":
+                return cmd_audit(scenario, out_dir)
+            if args.mode == "opt":
+                return cmd_opt(scenario, out_dir)
+            return cmd_bandwidth_test(scenario, out_dir)
     except (ScenarioParseError, ScenarioValidationError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

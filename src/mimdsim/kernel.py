@@ -18,6 +18,8 @@ are immutable once returned.
 from __future__ import annotations
 
 import math
+import os
+import signal
 import zlib
 from array import array
 from collections.abc import Iterable, Iterator
@@ -295,11 +297,17 @@ def _check_global_conservation(trace: RunTrace) -> None:
 # Trace export: per-path CSV `round,sent,rcvd,lost,lsr` and per-resource CSV
 # `round,into,lost,cap`, column order fixed. Files are written in chunks of
 # at most _CSV_CHUNK_ROWS rows, so export memory does not grow with the horizon.
+# The export is almost all float repr, so export_trace splits the files
+# between the calling process and one forked child, which reads the trace
+# through the fork's copy-on-write pages: nothing is pickled or piped, and
+# each file's bytes do not depend on which process writes it.
 # ---------------------------------------------------------------------------
 
 _CSV_CHUNK_ROWS = 4096
 _PATH_COLUMNS = ("sent", "rcvd", "lost", "lsr")
 _RESOURCE_COLUMNS = ("into", "lost", "cap")
+
+_CsvFile = tuple[Path, PathRecord | ResourceLedger, tuple[str, ...]]
 
 
 def _csv_chunks(record: PathRecord | ResourceLedger, columns: tuple[str, ...],
@@ -322,15 +330,74 @@ def resource_csv(trace: RunTrace, resource_id: str) -> str:
                                trace.horizon + 1))
 
 
-def export_trace(trace: RunTrace, outdir: str | Path) -> list[Path]:
-    """Write all per-path and per-resource CSVs; returns the paths written."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = [(outdir / f"path_{c.id}.csv", trace.paths[c.id], _PATH_COLUMNS)
-             for c in trace.scenario.connections]
-    files += [(outdir / f"resource_{r.id}.csv", trace.resources[r.id], _RESOURCE_COLUMNS)
-              for r in trace.scenario.resources]
+def _write_csvs(files: list[_CsvFile], n_rounds: int) -> None:
     for p, record, columns in files:
         with p.open("w") as f:
-            f.writelines(_csv_chunks(record, columns, trace.horizon + 1))
+            f.writelines(_csv_chunks(record, columns, n_rounds))
+
+
+def _split_shares(files: list[_CsvFile]) -> tuple[list[_CsvFile], list[_CsvFile]]:
+    """Two shares of about equal size: largest files first, each to the
+    smaller share, a file's size being its column count (all have the same
+    rows)."""
+    shares: tuple[list[_CsvFile], list[_CsvFile]] = ([], [])
+    sizes = [0, 0]
+    for entry in sorted(files, key=lambda e: -len(e[2])):
+        k = 0 if sizes[0] <= sizes[1] else 1
+        shares[k].append(entry)
+        sizes[k] += len(entry[2])
+    return shares
+
+
+def export_trace(trace: RunTrace, outdir: str | Path) -> list[Path]:
+    """Write all per-path and per-resource CSVs; returns the paths written,
+    paths in declaration order, then resources.
+
+    With two files or more, one forked child writes about half of them
+    while this process writes the rest, and the child is reaped before
+    this returns, on every path: if this process's share raises, the child
+    is killed first; if the child's share fails, this raises ``OSError``
+    naming the child's exception. Where the platform has no ``fork``,
+    every file is written here. Call it only in a process that runs no
+    other thread, since the fork copies just the calling one.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    n_rounds = trace.horizon + 1
+    files: list[_CsvFile] = [
+        (outdir / f"path_{c.id}.csv", trace.paths[c.id], _PATH_COLUMNS)
+        for c in trace.scenario.connections
+    ]
+    files += [(outdir / f"resource_{r.id}.csv", trace.resources[r.id], _RESOURCE_COLUMNS)
+              for r in trace.scenario.resources]
+    mine, theirs = _split_shares(files)
+    if not theirs or not hasattr(os, "fork"):
+        _write_csvs(files, n_rounds)
+        return [p for p, _, _ in files]
+
+    err_r, err_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(err_r)
+        code = 1
+        try:
+            _write_csvs(theirs, n_rounds)
+            code = 0
+        except Exception as exc:
+            os.write(err_w, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
+        finally:
+            os._exit(code)
+    os.close(err_w)
+    with open(err_r, "rb") as errors:
+        try:
+            _write_csvs(mine, n_rounds)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            failure = errors.read().decode(errors="replace")
+            status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        exit_code = os.waitstatus_to_exitcode(status)
+        raise OSError(f"trace export child failed: {failure or f'exit code {exit_code}'}")
     return [p for p, _, _ in files]

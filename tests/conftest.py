@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -14,6 +15,19 @@ from mimdsim.model import (
     ResourceSpec,
     Scenario,
 )
+
+
+def assert_no_child_processes() -> None:
+    # waitpid(-1) fails only when no child exists, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_child_processes():
+    """Fail the test that leaves a child process behind, running or unreaped."""
+    yield
+    assert_no_child_processes()
 
 
 def constant_resource(rid: str, cap: float) -> ResourceSpec:

@@ -149,6 +149,26 @@ def test_sweep_rejected_outside_simulate_mode(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--sweep-epsilon", "0"),
+    ("--sweep-epsilon", "0.1,-0.2"),
+    ("--sweep-epsilon", "1"),
+    ("--sweep-epsilon", "nan"),
+    ("--sweep-duration", "nan"),
+    ("--sweep-duration", "inf"),
+    ("--sweep-duration", "1,-1"),
+    ("--sweep-duration", "0"),
+])
+def test_sweep_values_out_of_range_exit_2_before_anything_is_written(
+        tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--scenario", str(SHARED), "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and len(err.splitlines()) == 1
+    assert list(out.iterdir()) == []
+
+
 def test_bwtest_two_disjoint_links(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--scenario", str(BWPAIR), "--mode", "bwtest", "--out", str(out)]) == 0

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import time
+from pathlib import Path
 
 import pytest
 
 from conftest import (
+    assert_no_child_processes,
     constant_resource,
     random_scenario,
     simple_conn,
@@ -15,6 +19,7 @@ from conftest import (
     step_resource,
 )
 from mimdsim import kernel
+from mimdsim.cli import main
 from mimdsim.kernel import (
     KernelError,
     allocate_loss,
@@ -301,6 +306,107 @@ def test_export_trace_files_equal_the_csv_strings_across_chunks(tmp_path):
     assert written[0].read_bytes() == path_csv(trace, "p0").encode()
     assert written[1].read_bytes() == resource_csv(trace, "link").encode()
     assert len(written[0].read_text().splitlines()) == 1 + trace.horizon + 1
+
+
+def _expected_csvs(trace) -> dict[str, bytes]:
+    want = {f"path_{c.id}.csv": path_csv(trace, c.id).encode()
+            for c in trace.scenario.connections}
+    want.update((f"resource_{r.id}.csv", resource_csv(trace, r.id).encode())
+                for r in trace.scenario.resources)
+    return want
+
+
+def _record_forks(monkeypatch) -> list[int]:
+    pids: list[int] = []
+    fork = os.fork
+
+    def recording_fork() -> int:
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def test_split_export_writes_the_csv_strings_with_and_without_fork(tmp_path, monkeypatch):
+    rng = random.Random(808)
+    traces = [run(random_scenario(rng)) for _ in range(8)]
+    assert max(len(t.paths) + len(t.resources) for t in traces) >= 8
+    for label in ("fork", "nofork"):
+        if label == "nofork":
+            monkeypatch.delattr(os, "fork")
+        for i, trace in enumerate(traces):
+            want = _expected_csvs(trace)
+            out = tmp_path / f"{label}{i}"
+            assert [p.name for p in kernel.export_trace(trace, out)] == list(want)
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == want
+
+
+def test_a_one_file_trace_forks_nothing(tmp_path, monkeypatch):
+    forks = _record_forks(monkeypatch)
+    sc = Scenario(
+        resources=(),
+        connections=(simple_conn("p", (), start_rate=3.0, end=4),),
+        epsilon=0.1,
+    )
+    trace = run(sc)
+    assert [p.name for p in kernel.export_trace(trace, tmp_path)] == ["path_p.csv"]
+    assert (tmp_path / "path_p.csv").read_bytes() == path_csv(trace, "p").encode()
+    assert forks == []
+
+
+def test_the_export_child_is_reaped_after_success(tmp_path, monkeypatch):
+    forks = _record_forks(monkeypatch)
+    trace = run(single_link_scenario(duration=300))
+    kernel.export_trace(trace, tmp_path)
+    assert len(forks) == 1 and forks[0] > 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+    assert_no_child_processes()
+
+
+def test_a_child_write_failure_raises_and_names_it(tmp_path, monkeypatch):
+    parent = os.getpid()
+    write = kernel._write_csvs
+
+    def full_disk_in_child(files, n_rounds):
+        if os.getpid() != parent:
+            raise OSError(28, "No space left on device")
+        write(files, n_rounds)
+
+    monkeypatch.setattr(kernel, "_write_csvs", full_disk_in_child)
+    with pytest.raises(OSError, match=r"child failed: OSError: \[Errno 28\] No space left"):
+        kernel.export_trace(run(single_link_scenario(duration=50)), tmp_path)
+    assert_no_child_processes()
+
+
+def test_a_child_write_failure_exits_3_with_one_error_line(tmp_path, capsys):
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "single_link.json"
+    out = tmp_path / "out"
+    (out / "resource_link.csv").mkdir(parents=True)   # in the child's share
+    assert main(["--scenario", str(scenario), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace export child failed: IsADirectoryError")
+    assert "resource_link.csv" in err and len(err.splitlines()) == 1
+    assert_no_child_processes()
+
+
+def test_a_parent_share_failure_kills_and_reaps_the_child(tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def fail_here_stall_there(files, n_rounds):
+        if os.getpid() != parent:
+            time.sleep(30)   # only a kill ends the child early
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(kernel, "_write_csvs", fail_here_stall_there)
+    started = time.monotonic()
+    with pytest.raises(OSError, match="No space left") as info:
+        kernel.export_trace(run(single_link_scenario(duration=50)), tmp_path)
+    assert "child" not in str(info.value)
+    assert time.monotonic() - started < 15
+    assert_no_child_processes()
 
 
 def test_single_link_fixed_point_and_mixing_time():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import lp_instance, random_scenario
+from conftest import assert_no_child_processes, lp_instance, random_scenario
 from mimdsim import optimum
 from mimdsim.cli import main
 from mimdsim.optimum import OptimumError, lp_worker, solve_opt
@@ -35,12 +35,6 @@ def _outcome(sc):
     except OptimumError as exc:
         return type(exc), str(exc)
     return sol.rates, sol.opt_value, sol.tight_constraints
-
-
-def assert_no_child_processes() -> None:
-    # waitpid(-1) fails only when no child exists, running or unreaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_worker_solutions_equal_in_process_solutions_exactly():
