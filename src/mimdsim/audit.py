@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from operator import truediv
 from pathlib import Path
 
-from .kernel import RunTrace
+from .kernel import ResourceLedger, RunTrace, loss_totals
+from .model import crossings
 from .optimum import OptimumSolution
 
 
@@ -106,38 +107,34 @@ def sent_ceiling_slack(trace: RunTrace, path_id: str) -> float:
     return ceiling * (1.0 + 1e-9) - peak_sent
 
 
-def _fairness_sides(trace: RunTrace, path_id: str) -> tuple[float, float]:
-    """(cumulative loss fraction, cumulative traversed resource loss ratios)."""
-    c = trace.scenario.connection(path_id)
-    rec = trace.paths[path_id]
-    window = c.shifted_window()
-    lhs = math.fsum(map(truediv, rec.lost[window.as_slice()],
-                        rec.sent[c.active_window().as_slice()]))
-    # each hop's loss ratios over the rounds the path's cohorts crossed it
-    hops = [(trace.resources[rid], window.start - hd, window.end - hd + 1)
-            for rid, hd in zip(c.route, c.hop_delays)]
-    rhs = math.fsum(
-        lost / into
-        for led, lo, hi in hops
-        for lost, into in zip(led.lost[lo:hi], led.into[lo:hi])
-        if into > 0.0
-    )
-    return lhs, rhs
-
-
 def measure_fairness(trace: RunTrace) -> float:
     """Smallest eps making the fair-loss condition hold, maximized over paths.
 
-    Convention: a path with no loss and no traversed loss contributes 0; a
-    path losing packets while its resources report no loss ratio yields inf
+    A path's cumulative loss fraction is compared with the loss ratios of
+    each hop summed over the rounds its cohorts crossed it. Convention: a
+    path with no loss and no traversed loss contributes 0; a path losing
+    packets while its resources report no loss ratio yields inf
     (unreachable for kernel-produced traces).
     """
-    if not trace.scenario.connections:
+    scenario = trace.scenario
+    if not scenario.connections:
         return 0.0
+    ledgers = [trace.resources[r.id] for r in scenario.resources]
+    hops: list[list[tuple[ResourceLedger, int, int]]] = [[] for _ in scenario.connections]
+    for k, i, _, first, last in crossings(scenario):
+        hops[k].append((ledgers[i], first, last + 1))
     # max over paths; can be negative when every path is under par
     values = []
-    for c in trace.scenario.connections:
-        lhs, rhs = _fairness_sides(trace, c.id)
+    for c, path_hops in zip(scenario.connections, hops):
+        rec = trace.paths[c.id]
+        lhs = math.fsum(map(truediv, rec.lost[c.shifted_window().as_slice()],
+                            rec.sent[c.active_window().as_slice()]))
+        rhs = math.fsum(
+            lost / into
+            for led, lo, hi in path_hops
+            for lost, into in zip(led.lost[lo:hi], led.into[lo:hi])
+            if into > 0.0
+        )
         if rhs == 0.0:
             values.append(0.0 if lhs == 0.0 else math.inf)
         else:
@@ -170,13 +167,7 @@ def competitive_ratio(trace: RunTrace, opt: OptimumSolution | None) -> AuditRepo
     """Assemble the full report; opt may be None when it was unbounded."""
     scenario = trace.scenario
     throughput = weighted_throughput(trace)
-    total_lost_paths = math.fsum(
-        math.fsum(trace.paths[c.id].lost[c.shifted_window().as_slice()])
-        for c in scenario.connections
-    )
-    total_lost_resources = math.fsum(
-        math.fsum(led.lost) for led in trace.resources.values()
-    )
+    total_lost_paths, total_lost_resources = loss_totals(trace)
 
     lemma1 = {c.id: check_lemma1(trace, c.id) for c in scenario.connections}
     lemma3 = {c.id: check_lemma3(trace, c.id) for c in scenario.connections}

@@ -109,10 +109,6 @@ def _sweep_variant(scenario: Scenario, eps: float | None, duration: float) -> Sc
         length = max(1, math.ceil(c.duration * duration))
         alpha, beta = c.alpha, c.beta
         if eps is not None:
-            if c.value <= 0:
-                raise UsageError(
-                    f"connection {c.id!r} has value 0; epsilon sweeps need positive values"
-                )
             alpha, beta = theorem_parameters(eps, c.value)
         connections.append(replace(c, end=c.start + length - 1, alpha=alpha, beta=beta))
     return replace(
@@ -125,7 +121,6 @@ def _sweep_variant(scenario: Scenario, eps: float | None, duration: float) -> Sc
 def cmd_simulate(scenario: Scenario, outdir: Path,
                  sweep_epsilon: list[float] | None,
                  sweep_duration: list[float] | None) -> int:
-    outdir.mkdir(parents=True, exist_ok=True)
     report = _write_run_outputs(scenario, outdir)
     print(audit.summary_line(report))
 
@@ -136,17 +131,11 @@ def cmd_simulate(scenario: Scenario, outdir: Path,
     rows = []
     for eps in eps_values:
         for dur in durations:
-            eps_label = f"{eps:g}" if eps is not None else f"{scenario.epsilon:g}"
-            sub = outdir / f"eps{eps_label}_dur{dur:g}"
-            sub.mkdir(parents=True, exist_ok=True)
             variant = _sweep_variant(scenario, eps, dur)
+            sub = outdir / f"eps{variant.epsilon:g}_dur{dur:g}"
             entry_report = _write_run_outputs(variant, sub)
-            rows.append((
-                eps if eps is not None else scenario.epsilon,
-                dur,
-                entry_report.competitive_ratio,
-                entry_report.measured_epsilon_hat,
-            ))
+            rows.append((variant.epsilon, dur, entry_report.competitive_ratio,
+                         entry_report.measured_epsilon_hat))
     rows.sort(key=lambda row: (row[0], row[1]))
     lines = ["epsilon,duration,ratio,eps_hat"]
     for eps, dur, ratio, eps_hat in rows:
@@ -157,7 +146,6 @@ def cmd_simulate(scenario: Scenario, outdir: Path,
 
 
 def cmd_audit(scenario: Scenario, outdir: Path) -> int:
-    outdir.mkdir(parents=True, exist_ok=True)
     trace = kernel.run(scenario)
     solution, opt_note = _solve_or_none(scenario)
     if solution is None:
@@ -169,7 +157,6 @@ def cmd_audit(scenario: Scenario, outdir: Path) -> int:
 
 
 def cmd_opt(scenario: Scenario, outdir: Path) -> int:
-    outdir.mkdir(parents=True, exist_ok=True)
     solution = optimum.solve_opt(scenario)
     optimum.export_solution(solution, outdir / "optimum.json")
     print(f"opt_value={solution.opt_value!r}")
@@ -236,7 +223,6 @@ def bandwidth_test(scenario: Scenario) -> dict:
 
 
 def cmd_bandwidth_test(scenario: Scenario, outdir: Path) -> int:
-    outdir.mkdir(parents=True, exist_ok=True)
     result = bandwidth_test(scenario)
     (outdir / "bandwidth_test.json").write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n"
@@ -260,6 +246,11 @@ def main(argv: list[str] | None = None) -> int:
             if not (math.isfinite(dur) and dur > 0.0):
                 raise UsageError(f"--sweep-duration: {dur!r} is not a finite value > 0")
         scenario = load_scenario(args.scenario, args.seed)
+        zero = [c.id for c in scenario.connections if c.value <= 0]
+        if sweep_eps and zero:
+            raise UsageError(
+                f"connection {zero[0]!r} has value 0; epsilon sweeps need positive values"
+            )
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

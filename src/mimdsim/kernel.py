@@ -2,8 +2,9 @@
 
 Before the first round the kernel builds one static schedule: every
 resource, in a topological order of the same-round precedence relation
-(validated acyclic), with the (path, pre-delay) pairs crossing it. Each
-round then works over flat per-path arrays: (1) active sources emit using
+(validated acyclic), with the (path, pre-delay) pairs crossing it, taken
+from ``model.crossings``, the table the LP and the fairness audit read too.
+Each round then works over flat per-path arrays: (1) active sources emit using
 only information from earlier rounds; (2) each scheduled resource pools the
 surviving cohorts its members sent at ``t - pre_delay`` and discards exactly
 the excess over capacity per the loss policy; (3) cohorts reaching their
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-import signal
 import zlib
 from array import array
 from collections.abc import Iterable, Iterator
@@ -27,11 +27,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import protocol
+from ._fork import forked
 from .model import (
     AdversarialFairLoss,
     LossPolicy,
     ProportionalLoss,
     Scenario,
+    crossings,
     intra_round_edges,
     require_valid,
     topo_order,
@@ -185,12 +187,9 @@ def run(scenario: Scenario) -> RunTrace:
 
     # The static schedule: each resource in same-round precedence order with
     # its members (path, pre-delay, first and last transit round).
-    res_index = {r.id: i for i, r in enumerate(scenario.resources)}
     members: list[list[tuple[int, int, int, int]]] = [[] for _ in ledgers]
-    for k, c in enumerate(conns):
-        for hop, rid in enumerate(c.route):
-            pre = c.pre_delay_at(hop)
-            members[res_index[rid]].append((k, pre, c.start + pre, c.end + pre))
+    for k, i, pre, first, last in crossings(scenario):
+        members[i].append((k, pre, first, last))
     order = topo_order([r.id for r in scenario.resources], intra_round_edges(scenario))
     schedule = [(ledgers[i], members[i]) for i in order if members[i]]
 
@@ -276,21 +275,24 @@ def run(scenario: Scenario) -> RunTrace:
         paths={rec.path_id: rec for rec in records},
         resources={led.resource_id: led for led in ledgers},
     )
-    _check_global_conservation(trace)
+    # every packet dropped at a resource must surface as an end-to-end loss
+    path_lost, res_lost = loss_totals(trace)
+    if abs(path_lost - res_lost) > CONSERVATION_RTOL * max(1.0, path_lost, res_lost):
+        raise KernelError(
+            f"conservation breach: paths lost {path_lost}, resources lost {res_lost}"
+        )
     return trace
 
 
-def _check_global_conservation(trace: RunTrace) -> None:
-    """Every packet dropped at a resource must surface as an end-to-end loss."""
+def loss_totals(trace: RunTrace) -> tuple[float, float]:
+    """(total lost seen by the paths over their arrival windows, total
+    dropped at the resources)."""
     path_lost = math.fsum(
         math.fsum(trace.paths[c.id].lost[c.shifted_window().as_slice()])
         for c in trace.scenario.connections
     )
     res_lost = math.fsum(math.fsum(led.lost) for led in trace.resources.values())
-    if abs(path_lost - res_lost) > CONSERVATION_RTOL * max(1.0, path_lost, res_lost):
-        raise KernelError(
-            f"conservation breach: paths lost {path_lost}, resources lost {res_lost}"
-        )
+    return path_lost, res_lost
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +355,14 @@ def export_trace(trace: RunTrace, outdir: str | Path) -> list[Path]:
     """Write all per-path and per-resource CSVs; returns the paths written,
     paths in declaration order, then resources.
 
-    With two files or more, one forked child writes about half of them
-    while this process writes the rest, and the child is reaped before
-    this returns, on every path: if this process's share raises, the child
-    is killed first; if the child's share fails, this raises ``OSError``
-    naming the child's exception. Where the platform has no ``fork``,
-    every file is written here. Call it only in a process that runs no
-    other thread, since the fork copies just the calling one.
+    With two files or more, one child forked through ``_fork.forked``
+    writes about half of them while this process writes the rest, and the
+    child is reaped before this returns, on every path: if this process's
+    share raises, the child is killed first; if the child's share fails,
+    this raises ``OSError`` naming the child's exception. Where the
+    platform has no ``fork``, every file is written here. Call it only in a
+    process that runs no other thread, since the fork copies just the
+    calling one.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -373,31 +376,7 @@ def export_trace(trace: RunTrace, outdir: str | Path) -> list[Path]:
     mine, theirs = _split_shares(files)
     if not theirs or not hasattr(os, "fork"):
         _write_csvs(files, n_rounds)
-        return [p for p, _, _ in files]
-
-    err_r, err_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(err_r)
-        code = 1
-        try:
-            _write_csvs(theirs, n_rounds)
-            code = 0
-        except Exception as exc:
-            os.write(err_w, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
-        finally:
-            os._exit(code)
-    os.close(err_w)
-    with open(err_r, "rb") as errors:
-        try:
+    else:
+        with forked(lambda: _write_csvs(theirs, n_rounds), "trace export child"):
             _write_csvs(mine, n_rounds)
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            failure = errors.read().decode(errors="replace")
-            status = os.waitpid(pid, 0)[1]
-    if status != 0:
-        exit_code = os.waitstatus_to_exitcode(status)
-        raise OSError(f"trace export child failed: {failure or f'exit code {exit_code}'}")
     return [p for p, _, _ in files]

@@ -103,9 +103,6 @@ class RoundWindow:
     def __len__(self) -> int:
         return max(0, self.end - self.start + 1)
 
-    def __contains__(self, t: int) -> bool:
-        return self.start <= t <= self.end
-
     def rounds(self) -> range:
         return range(self.start, self.end + 1)
 
@@ -152,15 +149,6 @@ class ConnectionSpec:
         return self.total_delay - self.hop_delays[hop]
 
 
-def pre_delay(conn: ConnectionSpec, resource_id: str) -> int:
-    """Rounds a packet travels before transiting ``resource_id`` on this route."""
-    try:
-        hop = conn.route.index(resource_id)
-    except ValueError:
-        raise KeyError(f"resource {resource_id!r} is not on the route of {conn.id!r}") from None
-    return conn.pre_delay_at(hop)
-
-
 @dataclass(frozen=True)
 class ProportionalLoss:
     """Each contributor loses the same fraction of what it put in."""
@@ -201,17 +189,29 @@ class Scenario:
             return -1
         return max(c.end + c.total_delay for c in self.connections)
 
-    def resource(self, rid: str) -> ResourceSpec:
-        for r in self.resources:
-            if r.id == rid:
-                return r
-        raise KeyError(rid)
-
     def connection(self, cid: str) -> ConnectionSpec:
         for c in self.connections:
             if c.id == cid:
                 return c
         raise KeyError(cid)
+
+
+def crossings(scenario: Scenario) -> list[tuple[int, int, int, int, int]]:
+    """Every hop of every connection once, in connection order, then route order.
+
+    Each entry is ``(path index, resource index, pre-delay, first, last)``:
+    the cohorts a path sends over its active window cross the resource in
+    rounds ``first..last`` inclusive. The kernel's schedule, the LP segments
+    and the fairness audit all read this table, so they agree on the rounds.
+    Every route must name declared resources (``validate`` checks this).
+    """
+    index = {r.id: i for i, r in enumerate(scenario.resources)}
+    table = []
+    for k, c in enumerate(scenario.connections):
+        for hop, rid in enumerate(c.route):
+            pre = c.pre_delay_at(hop)
+            table.append((k, index[rid], pre, c.start + pre, c.end + pre))
+    return table
 
 
 def intra_round_edges(scenario: Scenario) -> set[tuple[str, str]]:
@@ -221,12 +221,13 @@ def intra_round_edges(scenario: Scenario) -> set[tuple[str, str]]:
     route order. The union of these pairs over all connections must be
     acyclic for single-pass round semantics to exist.
     """
-    edges: set[tuple[str, str]] = set()
-    for c in scenario.connections:
-        for i in range(len(c.route) - 1):
-            if c.pre_delay_at(i) == c.pre_delay_at(i + 1):
-                edges.add((c.route[i], c.route[i + 1]))
-    return edges
+    ids = [r.id for r in scenario.resources]
+    table = crossings(scenario)
+    return {
+        (ids[a[1]], ids[b[1]])
+        for a, b in zip(table, table[1:])
+        if a[0] == b[0] and a[2] == b[2]
+    }
 
 
 def topo_order(nodes: list[str], edges: set[tuple[str, str]]) -> list[int] | None:

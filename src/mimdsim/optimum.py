@@ -2,10 +2,12 @@
 
 The yardstick assignment gives every path one constant rate over its active
 window; a path active during rounds [s, e] loads each resource on its route
-during [s + pre_delay, e + pre_delay]. Constraint rows exist only for
-(resource, round) pairs where some path is present, and rounds with an
-identical active set collapse to the binding (minimum-capacity) row, which
-keeps the LP tiny regardless of horizon length.
+during [s + pre_delay, e + pre_delay], the transit rounds that the kernel's
+schedule reads from the same ``model.crossings`` table. Constraint rows
+exist only for (resource, round) pairs where some path is present, and
+rounds with an identical active set collapse to the binding
+(minimum-capacity) row, which keeps the LP tiny regardless of horizon
+length.
 
 ``solve_opt`` hands the rows to HiGHS as a sparse 0/1 matrix. The binding
 constraints are reported as inclusive round ranges per resource, one per
@@ -14,7 +16,7 @@ run of binding segments, so their size does not grow with the horizon.
 Only ``_highs``, the one call into HiGHS, and the worker that runs it
 import numpy and scipy. Inside ``with lp_worker():`` that call runs in a
 forked worker process, which imports scipy as soon as it starts, beside
-the caller's own work.
+the caller's own work; ``_fork.forked`` owns its fork, kill and reap.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import signal
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import Scenario, require_valid
+from ._fork import forked
+from .model import Scenario, crossings, require_valid
 
 FEASIBILITY_ATOL = 1e-9
 OPTIMALITY_RTOL = 1e-6
@@ -99,12 +101,13 @@ def _serve(requests, results) -> None:
 def lp_worker():
     """Send every ``_highs`` call made inside the block to one forked worker.
 
-    The worker is forked, and starts importing scipy, on entry. On exit its
-    request pipe is closed and it is reaped; when the block raises, it is
-    killed first. A worker whose parent dies reads EOF and exits. Where the
-    platform has no ``fork``, the block solves in-process. Enter it only in
-    a process that runs no other thread, since the fork copies just the
-    calling one.
+    The worker is forked through ``_fork.forked``, and starts importing
+    scipy, on entry. On exit its request pipe is closed and it is reaped;
+    when the block raises, it is killed first. A worker that exits non-zero
+    under a clean block raises ``OSError("LP worker failed: ...")``. A worker
+    whose parent dies reads EOF and exits. Where the platform has no
+    ``fork``, the block solves in-process. Enter it only in a process that
+    runs no other thread, since the fork copies just the calling one.
     """
     global _worker
     if not hasattr(os, "fork"):
@@ -112,31 +115,22 @@ def lp_worker():
         return
     req_r, req_w = os.pipe()
     res_r, res_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
+
+    def serve() -> None:
         os.close(req_w)
         os.close(res_r)
-        code = 1
-        try:
-            with open(req_r, "rb") as requests, open(res_w, "wb") as results:
-                _serve(requests, results)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(req_r)
-    os.close(res_w)
-    outer = _worker
-    with open(req_w, "wb") as requests, open(res_r, "rb") as results:
-        _worker = (requests, results)
-        try:
-            yield
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)   # no answer is wanted; do not wait for its import
-            raise
-        finally:
-            _worker = outer
-            requests.close()
-            os.waitpid(pid, 0)
+        with open(req_r, "rb") as requests, open(res_w, "wb") as results:
+            _serve(requests, results)
+
+    with forked(serve, "LP worker"):
+        os.close(req_r)
+        os.close(res_w)
+        with open(req_w, "wb") as requests, open(res_r, "rb") as results:
+            _worker = (requests, results)
+            try:
+                yield
+            finally:
+                _worker = None
 
 
 def _solve_lp(*args) -> tuple[int, str, list[float] | None]:
@@ -168,24 +162,18 @@ class _Segment:
 
 
 def _segments(scenario: Scenario) -> list[_Segment]:
-    horizon = scenario.horizon
-    if horizon < 0:
-        return []
+    # per resource, the half-open rounds [a, b) in which each path loads it
+    spans_of: list[list[tuple[int, int, int]]] = [[] for _ in scenario.resources]
+    for k, i, _, first, last in crossings(scenario):
+        spans_of[i].append((k, first, last + 1))
     out: list[_Segment] = []
-    for r in scenario.resources:
-        spans = []
-        for k, c in enumerate(scenario.connections):
-            if r.id not in c.route:
-                continue
-            shift = c.total_delay - c.hop_delays[c.route.index(r.id)]
-            spans.append((k, c.start + shift, c.end + shift + 1))
+    for r, spans in zip(scenario.resources, spans_of):
         if not spans:
             continue
-        cuts = {0, horizon + 1}
-        cuts.update(fr for fr, _ in r.capacity.steps if 0 <= fr <= horizon)
+        # the active set and capacity change only at these rounds
+        cuts = {fr for fr, _ in r.capacity.steps}
         for _, a, b in spans:
-            cuts.add(min(max(a, 0), horizon + 1))
-            cuts.add(min(max(b, 0), horizon + 1))
+            cuts.update((a, b))
         bounds = sorted(cuts)
         for lo, hi in zip(bounds, bounds[1:]):
             active = tuple(k for k, a, b in spans if a <= lo and hi <= b)

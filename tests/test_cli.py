@@ -169,6 +169,20 @@ def test_sweep_values_out_of_range_exit_2_before_anything_is_written(
     assert list(out.iterdir()) == []
 
 
+def test_a_zero_value_epsilon_sweep_exits_2_before_anything_is_written(tmp_path, capsys):
+    doc = json.loads(SHARED.read_text())
+    next(c for c in doc["connections"] if c["id"] == "sync")["value"] = 0
+    sc = tmp_path / "zero.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--scenario", str(sc), "--out", str(out), "--sweep-epsilon", "0.1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: connection 'sync' has value 0; epsilon sweeps need positive values\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_bwtest_two_disjoint_links(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--scenario", str(BWPAIR), "--mode", "bwtest", "--out", str(out)]) == 0

@@ -381,6 +381,21 @@ def test_a_child_write_failure_raises_and_names_it(tmp_path, monkeypatch):
     assert_no_child_processes()
 
 
+def test_a_child_that_exits_without_a_message_is_reported_by_exit_code(tmp_path, monkeypatch):
+    parent = os.getpid()
+    write = kernel._write_csvs
+
+    def exit_in_child(files, n_rounds):
+        if os.getpid() != parent:
+            os._exit(4)
+        write(files, n_rounds)
+
+    monkeypatch.setattr(kernel, "_write_csvs", exit_in_child)
+    with pytest.raises(OSError, match=r"^trace export child failed: exit code 4$"):
+        kernel.export_trace(run(single_link_scenario(duration=50)), tmp_path)
+    assert_no_child_processes()
+
+
 def test_a_child_write_failure_exits_3_with_one_error_line(tmp_path, capsys):
     scenario = Path(__file__).resolve().parent.parent / "scenarios" / "single_link.json"
     out = tmp_path / "out"

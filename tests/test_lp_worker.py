@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,10 @@ def _failing_highs(*args):
 
 def _dying_highs(*args):
     os._exit(7)
+
+
+def _dying_serve(requests, results):
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _outcome(sc):
@@ -91,4 +96,17 @@ def test_a_worker_that_dies_is_an_optimum_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(optimum, "_highs", _dying_highs)
     assert main(["--scenario", str(SINGLE), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith("error: LP worker died")
+    assert_no_child_processes()
+
+
+def test_a_worker_that_dies_idle_under_a_clean_block_exits_3(monkeypatch, tmp_path, capsys):
+    # with every value 0 the run sends the worker no request, so its death
+    # shows only in its exit status
+    doc = json.loads(SINGLE.read_text())
+    doc["connections"][0]["value"] = 0.0
+    sc = tmp_path / "zero.json"
+    sc.write_text(json.dumps(doc))
+    monkeypatch.setattr(optimum, "_serve", _dying_serve)
+    assert main(["--scenario", str(sc), "--mode", "opt", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: LP worker failed: exit code -9\n"
     assert_no_child_processes()

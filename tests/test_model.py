@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
-from conftest import constant_resource, simple_conn, single_link_scenario, step_resource
+from conftest import (
+    constant_resource,
+    random_scenario,
+    simple_conn,
+    single_link_scenario,
+    step_resource,
+)
 from mimdsim.model import (
     AdversarialFairLoss,
     CapacityTimeline,
     ProportionalLoss,
     Scenario,
     ScenarioParseError,
+    crossings,
     emit_scenario,
     parse_scenario,
-    pre_delay,
     topo_order,
     validate,
 )
@@ -42,19 +49,37 @@ def test_hop_delay_exceeding_total_delay_is_violation():
     assert any("delay bound" in v.message for v in validate(bad))
 
 
+def _on_abc(*conns) -> Scenario:
+    resources = tuple(constant_resource(rid, 10) for rid in ("a", "b", "c"))
+    return Scenario(resources=resources, connections=conns, epsilon=0.1)
+
+
 def test_pre_delay_endpoints_and_monotonicity():
     conn = simple_conn("p0", ("a", "b", "c"), delay=4, hop_delays=(4, 2, 0))
-    assert pre_delay(conn, "a") == 0
-    assert pre_delay(conn, "b") == 2
-    assert pre_delay(conn, "c") == 4
+    # (path, resource, pre-delay, first, last) over the active window 0..9
+    assert crossings(_on_abc(conn)) == [(0, 0, 0, 0, 9), (0, 1, 2, 2, 11), (0, 2, 4, 4, 13)]
     with pytest.raises(KeyError):
-        pre_delay(conn, "zzz")
+        crossings(_on_abc(simple_conn("p0", ("a", "zzz"), hop_delays=(0, 0))))
 
 
 def test_pre_delay_bounds_on_valid_scenarios():
     conn = simple_conn("p0", ("a", "b"), delay=5, hop_delays=(3, 1))
-    for rid in conn.route:
-        assert 0 <= pre_delay(conn, rid) <= conn.total_delay
+    late = simple_conn("p1", ("c", "a"), start=4, end=6, delay=2, hop_delays=(2, 2))
+    assert crossings(_on_abc(conn, late)) == [
+        (0, 0, 2, 2, 11), (0, 1, 4, 4, 13), (1, 2, 0, 4, 6), (1, 0, 0, 4, 6),
+    ]
+    rng = random.Random(0xC55)
+    for _ in range(50):
+        sc = random_scenario(rng)
+        table = crossings(sc)
+        # connection order, then route order: one entry per hop
+        assert [(k, sc.resources[i].id) for k, i, _, _, _ in table] == [
+            (k, rid) for k, c in enumerate(sc.connections) for rid in c.route
+        ]
+        for k, i, pre, first, last in table:
+            c = sc.connections[k]
+            assert 0 <= pre <= c.total_delay
+            assert (first, last) == (c.start + pre, c.end + pre)
 
 
 def test_hop_delays_must_be_non_increasing():

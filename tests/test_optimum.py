@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from conftest import (
     step_resource,
 )
 from mimdsim.model import CapacityTimeline, ResourceSpec, Scenario
-from mimdsim.optimum import UnboundedOptimumError, export_solution, solve_opt
+from mimdsim.optimum import UnboundedOptimumError, _segments, export_solution, solve_opt
 
 
 def test_single_path_single_constraint():
@@ -222,6 +223,37 @@ def test_tight_ranges_expand_to_the_per_round_binding_set():
             # sorted, disjoint and non-adjacent: adjacent ranges would have merged
             assert lo > last.get(rid, -2) + 1
             last[rid] = hi
+
+
+def _active_per_round(sc: Scenario) -> dict[tuple[str, int], tuple[int, ...]]:
+    """(resource, round) -> indices of the paths crossing it in that round,
+    straight from each path's window and delays."""
+    out: dict[tuple[str, int], tuple[int, ...]] = {}
+    for k, c in enumerate(sc.connections):
+        for rid, hop_delay in zip(c.route, c.hop_delays):
+            for s in range(c.start, c.end + 1):
+                key = (rid, s + c.total_delay - hop_delay)
+                out[key] = out.get(key, ()) + (k,)
+    return out
+
+
+def test_segments_cover_each_crossed_round_once_with_its_active_set():
+    rng = random.Random(0x5E6)
+    shuffle_rng = random.Random(0x5E7)
+    scenarios = [lp_instance(rng) for _ in range(30)] + [random_scenario(rng) for _ in range(30)]
+    for sc in scenarios:
+        resources = list(sc.resources)
+        shuffle_rng.shuffle(resources)
+        for variant in (sc, replace(sc, resources=tuple(resources))):
+            by_id = {r.id: r for r in variant.resources}
+            covered: dict[tuple[str, int], tuple[int, ...]] = {}
+            for seg in _segments(variant):
+                assert seg.lo < seg.hi
+                for t in range(seg.lo, seg.hi):
+                    assert (seg.resource_id, t) not in covered
+                    assert by_id[seg.resource_id].capacity.at(t) == seg.cap
+                    covered[seg.resource_id, t] = seg.active
+            assert covered == _active_per_round(variant)
 
 
 def test_optimum_json_stays_small_on_a_long_run(tmp_path):
