@@ -25,17 +25,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import truediv
 from pathlib import Path
 
+from . import kernel, optimum
 from .kernel import ResourceLedger, RunTrace, loss_totals
-from .model import crossings
-from .optimum import OptimumSolution
+from .model import Scenario, crossings, require_valid
+from .optimum import OptimumSolution, UnboundedOptimumError
 
 
 class AuditError(RuntimeError):
     """Inconsistent audit inputs (e.g. positive throughput against opt = 0)."""
+
+
+class BandwidthTestError(ValueError):
+    """The scenario does not fit the bandwidth test."""
 
 
 @dataclass
@@ -164,7 +169,8 @@ def weighted_throughput(trace: RunTrace) -> float:
 
 
 def competitive_ratio(trace: RunTrace, opt: OptimumSolution | None) -> AuditReport:
-    """Assemble the full report; opt may be None when it was unbounded."""
+    """Assemble the full report; opt may be None when it was unbounded or is
+    not known yet (see ``finish``)."""
     scenario = trace.scenario
     throughput = weighted_throughput(trace)
     total_lost_paths, total_lost_resources = loss_totals(trace)
@@ -210,18 +216,95 @@ def competitive_ratio(trace: RunTrace, opt: OptimumSolution | None) -> AuditRepo
         opt_value=None,
         competitive_ratio=None,
     )
-    if opt is not None:
-        report.opt_value = opt.opt_value
-        if opt.opt_value <= 0.0:
-            if throughput > 1e-9:
-                raise AuditError(
-                    f"positive throughput {throughput} against opt_value 0: "
-                    "the optimum and the trace cannot come from the same scenario"
-                )
-            report.competitive_ratio = 0.0
-        else:
-            report.competitive_ratio = throughput / opt.opt_value
-    return report
+    return finish(report, opt)
+
+
+def finish(report: AuditReport, opt: OptimumSolution | None) -> AuditReport:
+    """``report`` with ``opt_value`` and ``competitive_ratio`` from ``opt``:
+    ``finish(competitive_ratio(trace, None), opt)`` equals
+    ``competitive_ratio(trace, opt)``, so the trace need not outlive it."""
+    if opt is None:
+        return replace(report, opt_value=None, competitive_ratio=None)
+    throughput = report.weighted_throughput
+    if opt.opt_value <= 0.0:
+        if throughput > 1e-9:
+            raise AuditError(
+                f"positive throughput {throughput} against opt_value 0: "
+                "the optimum and the trace cannot come from the same scenario"
+            )
+        ratio = 0.0
+    else:
+        ratio = throughput / opt.opt_value
+    return replace(report, opt_value=opt.opt_value, competitive_ratio=ratio)
+
+
+def solve_or_none(scenario: Scenario) -> tuple[OptimumSolution | None, str | None]:
+    """``(solve_opt(scenario), None)``, or ``(None, reason)`` when the optimum
+    is unbounded."""
+    try:
+        return optimum.solve_opt(scenario), None
+    except UnboundedOptimumError as exc:
+        return None, str(exc)
+
+
+def bandwidth_test(scenario: Scenario) -> dict:
+    """Run to the horizon and report the converged aggregate received rate.
+
+    Requires every connection to share one active interval (else
+    BandwidthTestError); values are forced to 1 so the estimate weighs all
+    paths equally. Convergence is declared once the trailing-window mean
+    moves by less than 0.5% across one window, the window being max over
+    paths of (1+delay)/(beta*eps).
+    """
+    if not scenario.connections:
+        return {"estimate": 0.0, "opt_rate": 0.0, "opt_value": 0.0,
+                "window": 0, "converged_at_round": None}
+    intervals = {(c.start, c.end) for c in scenario.connections}
+    if len(intervals) != 1:
+        raise BandwidthTestError("bandwidth test needs all connections on one active interval")
+    equalized = replace(
+        scenario,
+        connections=tuple(replace(c, value=1.0) for c in scenario.connections),
+    )
+    require_valid(equalized)
+    trace = kernel.run(equalized)
+    start, end = next(iter(intervals))
+
+    window = max(
+        math.ceil((1 + c.total_delay) / (c.beta * equalized.epsilon))
+        for c in equalized.connections
+    )
+    window = max(1, window)
+    agg = [0.0] * (trace.horizon + 1)
+    for c in equalized.connections:
+        rec = trace.paths[c.id]
+        for t in c.shifted_window().rounds():
+            agg[t] += rec.rcvd[t]
+
+    def window_mean(upto: int) -> float:
+        lo = max(0, upto - window + 1)
+        return math.fsum(agg[lo: upto + 1]) / (upto - lo + 1)
+
+    converged_at = None
+    scan_last = min(end, trace.horizon)
+    for t in range(start + 2 * window - 1, scan_last + 1):
+        current = window_mean(t)
+        previous = window_mean(t - window)
+        if abs(current - previous) < 0.005 * max(current, 1e-12):
+            converged_at = t
+            break
+    estimate = window_mean(converged_at if converged_at is not None else scan_last)
+    solution, _ = solve_or_none(equalized)
+    # the comparable optimum is the best aggregate per-round rate, not the
+    # whole-window objective
+    opt_rate = None if solution is None else math.fsum(solution.rates.values())
+    return {
+        "estimate": estimate,
+        "opt_rate": opt_rate,
+        "opt_value": None if solution is None else solution.opt_value,
+        "window": window,
+        "converged_at_round": converged_at,
+    }
 
 
 def _fmt(x: float | None) -> str:

@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import audit, kernel, optimum
-from .audit import AuditError, theorem_parameters
+from .audit import AuditError, BandwidthTestError, theorem_parameters
 from .kernel import KernelError
 from .model import (
     AdversarialFairLoss,
@@ -25,7 +25,7 @@ from .model import (
     parse_scenario,
     require_valid,
 )
-from .optimum import OptimumError, UnboundedOptimumError
+from .optimum import OptimumError
 from .protocol import ProtocolError
 
 EXIT_OK = 0
@@ -83,22 +83,24 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     return scenario
 
 
-def _solve_or_none(scenario: Scenario) -> tuple[optimum.OptimumSolution | None, str | None]:
-    try:
-        return optimum.solve_opt(scenario), None
-    except UnboundedOptimumError as exc:
-        return None, str(exc)
-
-
-def _write_run_outputs(scenario: Scenario, outdir: Path) -> audit.AuditReport:
+def _measure(scenario: Scenario, outdir: Path) -> audit.AuditReport:
+    """Pass 1 of one entry: the trace CSVs and every audit field the trace
+    gives; the trace is dropped on return."""
     trace = kernel.run(scenario)
     kernel.export_trace(trace, outdir)
-    solution, opt_note = _solve_or_none(scenario)
+    return audit.competitive_ratio(trace, None)
+
+
+def _finish(scenario: Scenario, outdir: Path,
+            measured: audit.AuditReport) -> audit.AuditReport:
+    """Pass 2 of one entry: ``optimum.json`` (or the unbounded warning), then
+    ``audit.json``."""
+    solution, opt_note = audit.solve_or_none(scenario)
     if solution is not None:
         optimum.export_solution(solution, outdir / "optimum.json")
     else:
         print(f"warning: optimum not computed: {opt_note}", file=sys.stderr)
-    report = audit.competitive_ratio(trace, solution)
+    report = audit.finish(measured, solution)
     audit.export_report(report, outdir / "audit.json")
     return report
 
@@ -121,21 +123,30 @@ def _sweep_variant(scenario: Scenario, eps: float | None, duration: float) -> Sc
 def cmd_simulate(scenario: Scenario, outdir: Path,
                  sweep_epsilon: list[float] | None,
                  sweep_duration: list[float] | None) -> int:
-    report = _write_run_outputs(scenario, outdir)
-    print(audit.summary_line(report))
+    """The base run, then one entry per sweep pair. Every kernel runs (pass 1)
+    while the LP worker imports scipy, before any LP (pass 2); pass 2 also
+    finishes the entries measured before a pass-1 failure."""
+    entries: list[tuple[Scenario, Path, float]] = [(scenario, outdir, 1.0)]
+    if sweep_epsilon is not None or sweep_duration is not None:
+        for eps in sweep_epsilon or [None]:
+            for dur in sweep_duration or [1.0]:
+                variant = _sweep_variant(scenario, eps, dur)
+                entries.append((variant, outdir / f"eps{variant.epsilon:g}_dur{dur:g}", dur))
+    measured: list[audit.AuditReport] = []
+    reports: list[audit.AuditReport] = []
+    try:
+        for variant, sub, _ in entries:
+            measured.append(_measure(variant, sub))
+    finally:
+        for (variant, sub, _), report in zip(entries, measured):
+            reports.append(_finish(variant, sub, report))
+            if len(reports) == 1:
+                print(audit.summary_line(reports[0]))
 
-    if sweep_epsilon is None and sweep_duration is None:
+    if len(entries) == 1:
         return EXIT_OK
-    eps_values: list[float | None] = list(sweep_epsilon) if sweep_epsilon else [None]
-    durations = list(sweep_duration) if sweep_duration else [1.0]
-    rows = []
-    for eps in eps_values:
-        for dur in durations:
-            variant = _sweep_variant(scenario, eps, dur)
-            sub = outdir / f"eps{variant.epsilon:g}_dur{dur:g}"
-            entry_report = _write_run_outputs(variant, sub)
-            rows.append((variant.epsilon, dur, entry_report.competitive_ratio,
-                         entry_report.measured_epsilon_hat))
+    rows = [(variant.epsilon, dur, report.competitive_ratio, report.measured_epsilon_hat)
+            for (variant, _, dur), report in zip(entries[1:], reports[1:])]
     rows.sort(key=lambda row: (row[0], row[1]))
     lines = ["epsilon,duration,ratio,eps_hat"]
     for eps, dur, ratio, eps_hat in rows:
@@ -147,7 +158,7 @@ def cmd_simulate(scenario: Scenario, outdir: Path,
 
 def cmd_audit(scenario: Scenario, outdir: Path) -> int:
     trace = kernel.run(scenario)
-    solution, opt_note = _solve_or_none(scenario)
+    solution, opt_note = audit.solve_or_none(scenario)
     if solution is None:
         print(f"warning: optimum not computed: {opt_note}", file=sys.stderr)
     report = audit.competitive_ratio(trace, solution)
@@ -163,67 +174,8 @@ def cmd_opt(scenario: Scenario, outdir: Path) -> int:
     return EXIT_OK
 
 
-def bandwidth_test(scenario: Scenario) -> dict:
-    """Run to the horizon and report the converged aggregate received rate.
-
-    Requires every connection to share one active interval; values are
-    forced to 1 so the estimate weighs all paths equally. Convergence is
-    declared once the trailing-window mean moves by less than 0.5% across
-    one window, the window being max over paths of (1+delay)/(beta*eps).
-    """
-    if not scenario.connections:
-        return {"estimate": 0.0, "opt_rate": 0.0, "opt_value": 0.0,
-                "window": 0, "converged_at_round": None}
-    intervals = {(c.start, c.end) for c in scenario.connections}
-    if len(intervals) != 1:
-        raise UsageError("bandwidth test needs all connections on one active interval")
-    equalized = replace(
-        scenario,
-        connections=tuple(replace(c, value=1.0) for c in scenario.connections),
-    )
-    require_valid(equalized)
-    trace = kernel.run(equalized)
-    start, end = next(iter(intervals))
-
-    window = max(
-        math.ceil((1 + c.total_delay) / (c.beta * equalized.epsilon))
-        for c in equalized.connections
-    )
-    window = max(1, window)
-    agg = [0.0] * (trace.horizon + 1)
-    for c in equalized.connections:
-        rec = trace.paths[c.id]
-        for t in c.shifted_window().rounds():
-            agg[t] += rec.rcvd[t]
-
-    def window_mean(upto: int) -> float:
-        lo = max(0, upto - window + 1)
-        return math.fsum(agg[lo: upto + 1]) / (upto - lo + 1)
-
-    converged_at = None
-    scan_last = min(end, trace.horizon)
-    for t in range(start + 2 * window - 1, scan_last + 1):
-        current = window_mean(t)
-        previous = window_mean(t - window)
-        if abs(current - previous) < 0.005 * max(current, 1e-12):
-            converged_at = t
-            break
-    estimate = window_mean(converged_at if converged_at is not None else scan_last)
-    solution, _ = _solve_or_none(equalized)
-    # the comparable optimum is the best aggregate per-round rate, not the
-    # whole-window objective
-    opt_rate = None if solution is None else math.fsum(solution.rates.values())
-    return {
-        "estimate": estimate,
-        "opt_rate": opt_rate,
-        "opt_value": None if solution is None else solution.opt_value,
-        "window": window,
-        "converged_at_round": converged_at,
-    }
-
-
 def cmd_bandwidth_test(scenario: Scenario, outdir: Path) -> int:
-    result = bandwidth_test(scenario)
+    result = audit.bandwidth_test(scenario)
     (outdir / "bandwidth_test.json").write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n"
     )
@@ -264,7 +216,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.mode == "opt":
                 return cmd_opt(scenario, out_dir)
             return cmd_bandwidth_test(scenario, out_dir)
-    except (ScenarioParseError, ScenarioValidationError, UsageError) as exc:
+    except (ScenarioParseError, ScenarioValidationError, UsageError,
+            BandwidthTestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (KernelError, OptimumError, AuditError, ProtocolError, OSError) as exc:

@@ -339,16 +339,26 @@ def _write_csvs(files: list[_CsvFile], n_rounds: int) -> None:
 
 
 def _split_shares(files: list[_CsvFile]) -> tuple[list[_CsvFile], list[_CsvFile]]:
-    """Two shares of about equal size: largest files first, each to the
-    smaller share, a file's size being its column count (all have the same
-    rows)."""
-    shares: tuple[list[_CsvFile], list[_CsvFile]] = ([], [])
-    sizes = [0, 0]
-    for entry in sorted(files, key=lambda e: -len(e[2])):
-        k = 0 if sizes[0] <= sizes[1] else 1
-        shares[k].append(entry)
-        sizes[k] += len(entry[2])
-    return shares
+    """The most even two-way split, a file's size being its column count (all
+    have the same rows); the first share is the larger or equal one.
+
+    Exact subset sum over the small column counts: bit ``s`` of
+    ``reach[i]`` says some of the first ``i`` files sum to ``s``.
+    """
+    sizes = [len(columns) for _, _, columns in files]
+    reach = [1]
+    for size in sizes:
+        reach.append(reach[-1] | reach[-1] << size)
+    target = sum(sizes) // 2
+    while not reach[-1] >> target & 1:
+        target -= 1
+    smaller = [False] * len(files)
+    for i in range(len(files), 0, -1):
+        if not reach[i - 1] >> target & 1:
+            smaller[i - 1] = True
+            target -= sizes[i - 1]
+    return ([e for e, s in zip(files, smaller) if not s],
+            [e for e, s in zip(files, smaller) if s])
 
 
 def export_trace(trace: RunTrace, outdir: str | Path) -> list[Path]:

@@ -23,7 +23,7 @@ from conftest import (
 )
 from mimdsim import audit
 from mimdsim.audit import competitive_ratio, sent_ceiling_slack, theorem_parameters
-from mimdsim.cli import bandwidth_test
+from mimdsim.audit import bandwidth_test
 from mimdsim.kernel import path_csv, resource_csv, run
 from mimdsim.model import (
     AdversarialFairLoss,

@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from conftest import random_scenario, simple_conn, step_resource
 from mimdsim import audit, kernel, optimum
-from mimdsim.cli import main
-from mimdsim.model import parse_scenario
+from mimdsim.cli import _sweep_variant, main
+from mimdsim.model import emit_scenario, parse_scenario
+from mimdsim.optimum import UnboundedOptimumError
 
 REPO = Path(__file__).resolve().parent.parent
 SINGLE = REPO / "scenarios" / "single_link.json"
@@ -141,6 +146,130 @@ def test_sweep_writes_subdirectories_and_summary(tmp_path):
         assert 0.0 <= float(row[2]) <= 1.0 + 1e-9
 
 
+SWEEP_2X2 = ["--sweep-epsilon", "0.2,0.1", "--sweep-duration", "0.25,0.5"]
+
+
+def test_a_sweep_runs_every_kernel_and_export_before_the_first_lp(tmp_path, monkeypatch):
+    calls: list[str] = []
+    for module, attr in ((kernel, "run"), (kernel, "export_trace"), (optimum, "solve_opt")):
+        def recording(*args, _inner=getattr(module, attr), _name=attr):
+            calls.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(module, attr, recording)
+    assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "out")] + SWEEP_2X2) == 0
+    assert calls == ["run", "export_trace"] * 5 + ["solve_opt"] * 5
+
+
+def test_each_sweep_trace_is_dropped_before_the_next_kernel(tmp_path, monkeypatch):
+    refs: list[weakref.ref] = []
+    alive_at_start: list[int] = []
+    inner = kernel.run
+
+    def run_and_watch(scenario):
+        alive_at_start.append(sum(ref() is not None for ref in refs))
+        trace = inner(scenario)
+        refs.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(kernel, "run", run_and_watch)
+    assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "out")] + SWEEP_2X2) == 0
+    assert alive_at_start == [0] * 5
+
+
+def test_a_kernel_failure_mid_sweep_finishes_the_earlier_entries(tmp_path, capsys):
+    doc = json.loads(SINGLE.read_text())
+    doc["resources"][0]["capacity"] = [{"from_round": 0, "value": 0.0}]
+    doc["connections"][0].update(alpha=0.001, beta=0.99, active=[0, 99])
+    sc = tmp_path / "underflow.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    # 100 and 100 rounds finish; the 400-round entry underflows at round 166
+    assert main(["--scenario", str(sc), "--out", str(out), "--sweep-duration", "1,4,2"]) == 3
+
+    scenario = parse_scenario(sc.read_text())
+    base = audit.competitive_ratio(kernel.run(scenario), optimum.solve_opt(scenario))
+    assert capsys.readouterr() == (
+        audit.summary_line(base) + "\n",
+        "error: path 'flow' round 166: non-positive send rate 0.0\n",
+    )
+    run_files = {"path_flow.csv", "resource_link.csv", "optimum.json", "audit.json"}
+    assert {p.name for p in out.iterdir()} - {"eps0.1_dur4"} == run_files | {"eps0.1_dur1"}
+    assert {p.name for p in (out / "eps0.1_dur1").iterdir()} == run_files
+    for name in run_files:
+        assert (out / "eps0.1_dur1" / name).read_bytes() == (out / name).read_bytes(), name
+    assert not (out / "eps0.1_dur4" / "audit.json").exists()
+
+
+def _with_an_unbounded_probe(scenario):
+    """Adds a path whose link is uncapped until round 20: the optimum is
+    unbounded at duration multiplier 1 and bounded at 3."""
+    return replace(
+        scenario,
+        resources=scenario.resources + (step_resource("open", [(0, float("inf")), (20, 5.0)]),),
+        connections=scenario.connections + (simple_conn("probe", ("open",), value=0.5, end=9),),
+    )
+
+
+def _library_sweep(scenario, out: Path, eps_values, durations) -> tuple[str, str]:
+    """A sweep from library calls, each entry written in full before the
+    next starts; returns the stdout and stderr the CLI should print."""
+    entries = [(scenario, out, None)]
+    for eps in eps_values:
+        for dur in durations:
+            variant = _sweep_variant(scenario, eps, dur)
+            entries.append((variant, out / f"eps{variant.epsilon:g}_dur{dur:g}", dur))
+    stdout = stderr = ""
+    rows = []
+    for variant, sub, dur in entries:
+        trace = kernel.run(variant)
+        kernel.export_trace(trace, sub)
+        try:
+            solution = optimum.solve_opt(variant)
+            optimum.export_solution(solution, sub / "optimum.json")
+        except UnboundedOptimumError as exc:
+            solution = None
+            stderr += f"warning: optimum not computed: {exc}\n"
+        report = audit.competitive_ratio(trace, solution)
+        audit.export_report(report, sub / "audit.json")
+        if dur is None:
+            stdout += audit.summary_line(report) + "\n"
+        else:
+            ratio = "" if report.competitive_ratio is None else repr(report.competitive_ratio)
+            rows.append((variant.epsilon, dur,
+                         f"{variant.epsilon!r},{dur!r},{ratio},{report.measured_epsilon_hat!r}"))
+    rows.sort(key=lambda row: (row[0], row[1]))
+    (out / "sweep_summary.csv").write_text(
+        "\n".join(["epsilon,duration,ratio,eps_hat"] + [row[2] for row in rows]) + "\n"
+    )
+    return stdout, stderr
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_sweeps_write_what_per_entry_library_calls_write(tmp_path, capsys):
+    rng = random.Random(1301)
+    scenarios = [parse_scenario(SHARED.read_text())]
+    scenarios += [random_scenario(rng) for _ in range(10)]
+    unbounded_warnings = 0
+    for i, base in enumerate(scenarios):
+        sc = tmp_path / f"s{i}.json"
+        sc.write_text(emit_scenario(_with_an_unbounded_probe(base)))
+        scenario = parse_scenario(sc.read_text())
+        cli_out, lib_out = tmp_path / f"cli{i}", tmp_path / f"lib{i}"
+        code = main(["--scenario", str(sc), "--out", str(cli_out),
+                     "--sweep-epsilon", "0.2,0.1", "--sweep-duration", "1,3"])
+        printed = capsys.readouterr()
+        assert code == 0, printed.err
+        expected = _library_sweep(scenario, lib_out, [0.2, 0.1], [1.0, 3.0])
+        assert printed == expected
+        assert _tree(cli_out) == _tree(lib_out)
+        unbounded_warnings += printed.err.count("warning: optimum not computed")
+    # the base and both duration-1 entries of every sweep
+    assert unbounded_warnings == 3 * len(scenarios)
+
+
 def test_sweep_rejected_outside_simulate_mode(tmp_path, capsys):
     code = main([
         "--scenario", str(SINGLE), "--mode", "opt", "--out", str(tmp_path / "o"),
@@ -204,7 +333,7 @@ def test_bwtest_requires_a_common_active_interval(tmp_path, capsys):
 def test_bwtest_single_link_estimate_reaches_capacity(tmp_path):
     # received saturates the capacity at the fixed point; only sent overshoots
     from conftest import single_link_scenario
-    from mimdsim.cli import bandwidth_test
+    from mimdsim.audit import bandwidth_test
 
     result = bandwidth_test(single_link_scenario(cap=30.0, duration=1500))
     assert abs(result["estimate"] - 30.0) <= 0.05 * 30.0

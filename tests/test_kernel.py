@@ -356,6 +356,34 @@ def test_a_one_file_trace_forks_nothing(tmp_path, monkeypatch):
     assert forks == []
 
 
+def _fake_files(sizes: list[int]) -> list:
+    return [(Path(f"f{i}.csv"), None, ("c",) * size) for i, size in enumerate(sizes)]
+
+
+def test_the_export_split_is_as_even_as_brute_force_finds():
+    rng = random.Random(4242)
+    for _ in range(400):
+        files = _fake_files([rng.randint(1, 9) for _ in range(rng.randint(0, 12))])
+        sizes = [len(columns) for _, _, columns in files]
+        total = sum(sizes)
+        best = min(
+            abs(total - 2 * sum(s for j, s in enumerate(sizes) if mask >> j & 1))
+            for mask in range(1 << len(sizes))
+        )
+        mine, theirs = kernel._split_shares(files)
+        assert sorted(mine + theirs) == sorted(files)
+        ours, others = (sum(len(e[2]) for e in share) for share in (mine, theirs))
+        assert ours - others == best
+        if len(files) >= 2:
+            assert theirs
+
+
+def test_the_long_haul_export_splits_13_to_12_columns():
+    # four path files of 4 columns, three resource files of 3
+    mine, theirs = kernel._split_shares(_fake_files([4, 4, 4, 4, 3, 3, 3]))
+    assert [sum(len(e[2]) for e in share) for share in (mine, theirs)] == [13, 12]
+
+
 def test_the_export_child_is_reaped_after_success(tmp_path, monkeypatch):
     forks = _record_forks(monkeypatch)
     trace = run(single_link_scenario(duration=300))
