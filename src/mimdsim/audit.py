@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from operator import truediv
 from pathlib import Path
 
@@ -147,16 +147,14 @@ def measure_fairness(trace: RunTrace) -> float:
     return max(values)
 
 
-def theorem_parameters(epsilon: float, val: float, beta_scale: float = 1.0) -> tuple[float, float]:
-    """Protocol parameters for a target eps: beta = beta_scale * eps and
+def theorem_parameters(epsilon: float, val: float) -> tuple[float, float]:
+    """Protocol parameters for a target eps: beta = eps and
     alpha = eps * beta * val, which makes alpha < beta automatic."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
     if not 0.0 < val <= 1.0:
         raise ValueError(f"val must lie in (0,1], got {val}")
-    if not 0.0 < beta_scale <= 1.0:
-        raise ValueError(f"beta_scale must lie in (0,1], got {beta_scale}")
-    beta = beta_scale * epsilon
+    beta = epsilon
     alpha = epsilon * beta * val
     return alpha, beta
 
@@ -324,22 +322,7 @@ def summary_line(report: AuditReport) -> str:
 
 
 def report_to_dict(report: AuditReport) -> dict:
-    return {
-        "weighted_throughput": report.weighted_throughput,
-        "total_lost_paths": report.total_lost_paths,
-        "total_lost_resources": report.total_lost_resources,
-        "lemma1_slack": dict(report.lemma1_slack),
-        "lemma3_slack": dict(report.lemma3_slack),
-        "measured_epsilon_hat": report.measured_epsilon_hat,
-        "U": dict(report.U),
-        "b": report.b,
-        "c": report.c,
-        "per_path_b": dict(report.per_path_b),
-        "per_path_c": dict(report.per_path_c),
-        "duration_threshold": report.duration_threshold,
-        "opt_value": report.opt_value,
-        "competitive_ratio": report.competitive_ratio,
-    }
+    return asdict(report)
 
 
 def export_report(report: AuditReport, path: str | Path) -> Path:

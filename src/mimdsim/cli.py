@@ -120,6 +120,19 @@ def _sweep_variant(scenario: Scenario, eps: float | None, duration: float) -> Sc
     )
 
 
+def _sweep_dir(scenario: Scenario, eps: float | None, duration: float) -> str:
+    """The subdirectory of one sweep entry; ``eps=None`` keeps the scenario's."""
+    return f"eps{scenario.epsilon if eps is None else eps:g}_dur{duration:g}"
+
+
+def _sweep_pairs(sweep_epsilon: list[float] | None,
+                 sweep_duration: list[float] | None) -> list[tuple[float | None, float]]:
+    """(epsilon or None, duration multiplier) per sweep entry, in run order."""
+    if sweep_epsilon is None and sweep_duration is None:
+        return []
+    return [(eps, dur) for eps in sweep_epsilon or [None] for dur in sweep_duration or [1.0]]
+
+
 def cmd_simulate(scenario: Scenario, outdir: Path,
                  sweep_epsilon: list[float] | None,
                  sweep_duration: list[float] | None) -> int:
@@ -127,11 +140,9 @@ def cmd_simulate(scenario: Scenario, outdir: Path,
     while the LP worker imports scipy, before any LP (pass 2); pass 2 also
     finishes the entries measured before a pass-1 failure."""
     entries: list[tuple[Scenario, Path, float]] = [(scenario, outdir, 1.0)]
-    if sweep_epsilon is not None or sweep_duration is not None:
-        for eps in sweep_epsilon or [None]:
-            for dur in sweep_duration or [1.0]:
-                variant = _sweep_variant(scenario, eps, dur)
-                entries.append((variant, outdir / f"eps{variant.epsilon:g}_dur{dur:g}", dur))
+    for eps, dur in _sweep_pairs(sweep_epsilon, sweep_duration):
+        entries.append((_sweep_variant(scenario, eps, dur),
+                        outdir / _sweep_dir(scenario, eps, dur), dur))
     measured: list[audit.AuditReport] = []
     reports: list[audit.AuditReport] = []
     try:
@@ -203,6 +214,13 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(
                 f"connection {zero[0]!r} has value 0; epsilon sweeps need positive values"
             )
+        seen: dict[str, str] = {}
+        for eps, dur in _sweep_pairs(sweep_eps, sweep_dur):
+            name = _sweep_dir(scenario, eps, dur)
+            entry = f"(epsilon {scenario.epsilon if eps is None else eps!r}, duration {dur!r})"
+            if name in seen:
+                raise UsageError(f"sweep entries {seen[name]} and {entry} would both write {name}/")
+            seen[name] = entry
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

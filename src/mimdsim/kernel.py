@@ -5,10 +5,12 @@ resource, in a topological order of the same-round precedence relation
 (validated acyclic), with the (path, pre-delay) pairs crossing it, taken
 from ``model.crossings``, the table the LP and the fairness audit read too.
 Each round then works over flat per-path arrays: (1) active sources emit using
-only information from earlier rounds; (2) each scheduled resource pools the
-surviving cohorts its members sent at ``t - pre_delay`` and discards exactly
-the excess over capacity per the loss policy; (3) cohorts reaching their
-destination are recorded and fed back to the source.
+only information from earlier rounds; (2) each scheduled resource sums, once,
+the surviving cohorts its members sent at ``t - pre_delay`` and discards
+exactly the excess over capacity: proportional loss is split inline, every
+cohort losing the same fraction, and adversarial loss goes through
+``allocate_loss``; (3) cohorts reaching their destination are recorded and
+fed back to the source.
 
 Survivors are kept per path and send round and updated in place, so a
 cohort crossing several zero-latency hops sees each pooled loss event in
@@ -22,7 +24,7 @@ import math
 import os
 import zlib
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,8 +32,6 @@ from . import protocol
 from ._fork import forked
 from .model import (
     AdversarialFairLoss,
-    LossPolicy,
-    ProportionalLoss,
     Scenario,
     crossings,
     intra_round_edges,
@@ -77,86 +77,66 @@ class RunTrace:
     resources: dict[str, ResourceLedger]
 
 
-def _tiebreak_order(seed: int, round_idx: int, pids: Iterable[str]) -> list[str]:
-    """``pids`` sorted by (CRC-32 of ``f"{seed}:{round_idx}:{pid}"``, pid).
+def _tiebreak_order(seed: int, round_idx: int, pids: list[str]) -> list[int]:
+    """The positions of ``pids`` sorted by (CRC-32 of
+    ``f"{seed}:{round_idx}:{pid}"``, pid).
 
     The shared prefix is hashed once per call; chaining each id onto its
     CRC gives the CRC of the whole key.
     """
     prefix = zlib.crc32(f"{seed}:{round_idx}:".encode())
-    return sorted(pids, key=lambda pid: (zlib.crc32(pid.encode(), prefix), pid))
+    return sorted(range(len(pids)),
+                  key=lambda j: (zlib.crc32(pids[j].encode(), prefix), pids[j]))
 
 
 def allocate_loss(
-    contributions: dict[str, float],
-    cap: float,
-    policy: LossPolicy,
+    sizes: list[float],
+    into: float,
+    excess: float,
+    policy: AdversarialFairLoss,
     round_idx: int,
-    max_loss: dict[str, float] | None = None,
-) -> dict[str, float]:
-    """Split the excess over capacity among contributors.
+    pids: list[str],
+    max_loss: list[float],
+) -> list[float]:
+    """Split an adversarial loss event's ``excess > 0`` among its cohorts.
 
-    Returns per-path losses with 0 <= loss_p <= contribution_p summing to
-    max(0, sum(contributions) - cap). Proportional: every path loses the
-    same fraction. Adversarial: the target absorbs as much as its fairness
-    budget allows, the rest is spread proportionally over the others within
-    their own budgets. ``max_loss[p]`` is the largest absolute loss path p
-    may absorb in this event (unlimited when absent); budgets too small for
-    the excess leave the shortfall unallocated, which ``run`` rejects as a
-    conservation breach.
+    ``sizes[j]`` is what path ``pids[j]`` put into the event, ``into`` their
+    sum and ``max_loss[j]`` the largest absolute loss that path may absorb
+    here. Returns the losses by position, with 0 <= loss_j <= sizes[j]: the
+    target absorbs as much as its budget allows, the rest is spread
+    proportionally over the others within their own budgets. Budgets too
+    small for the excess leave the shortfall unallocated, which ``run``
+    rejects as a conservation breach.
     """
-    for pid, c in contributions.items():
-        if c < 0:
-            raise KernelError(f"negative contribution {c} from {pid!r}")
-    losses = {pid: 0.0 for pid in contributions}
-    into = math.fsum(contributions.values())
-    excess = into - cap
-    if excess <= 0 or into <= 0:
-        return losses
-
-    if isinstance(policy, ProportionalLoss):
-        ratio = excess / into
-        for pid, c in contributions.items():
-            losses[pid] = c * ratio
-        return losses
-
-    if not isinstance(policy, AdversarialFairLoss):
-        raise KernelError(f"unknown loss policy {policy!r}")
-
-    budgets = max_loss or {}
+    losses = [0.0] * len(sizes)
     need = excess
     target = policy.target_path
-    if target in contributions:
-        take = min(contributions[target], budgets.get(target, math.inf), need)
+    if target in pids:
+        j = pids.index(target)
+        take = min(sizes[j], max_loss[j], need)
         if take > 0:
-            losses[target] = take
+            losses[j] = take
             need -= take
 
-    others = _tiebreak_order(
-        policy.seed, round_idx, (pid for pid in contributions if pid != target)
-    )
-    caps = {pid: min(contributions[pid], budgets.get(pid, math.inf)) for pid in others}
-    active = [pid for pid in others if caps[pid] > 0]
+    others = [j for j in _tiebreak_order(policy.seed, round_idx, pids) if pids[j] != target]
+    caps = [min(c, b) for c, b in zip(sizes, max_loss)]
+    active = [j for j in others if caps[j] > 0]
     tol = 1e-15 * max(into, 1.0)
     while need > tol and active:
-        total_w = math.fsum(contributions[pid] for pid in active)
+        total_w = math.fsum(sizes[j] for j in active)
         if total_w <= 0:
             break
-        clamped = []
-        for pid in active:
-            share = need * contributions[pid] / total_w
-            if share >= caps[pid] - losses[pid]:
-                clamped.append(pid)
+        clamped = [j for j in active if need * sizes[j] / total_w >= caps[j] - losses[j]]
         if clamped:
-            for pid in clamped:
-                need -= caps[pid] - losses[pid]
-                losses[pid] = caps[pid]
-                active.remove(pid)
+            for j in clamped:
+                need -= caps[j] - losses[j]
+                losses[j] = caps[j]
+                active.remove(j)
             continue
         assigned = 0.0
-        for pid in active:
-            share = need * contributions[pid] / total_w
-            losses[pid] += share
+        for j in active:
+            share = need * sizes[j] / total_w
+            losses[j] += share
             assigned += share
         need -= assigned
         break
@@ -221,25 +201,29 @@ def run(scenario: Scenario) -> RunTrace:
             cohorts = [(k, t - pre) for k, pre, lo, hi in group if lo <= t <= hi]
             if not cohorts:
                 continue
-            contributions = {ids[k]: survivors[k][s] for k, s in cohorts}
-            into = math.fsum(contributions.values())
+            sizes = [survivors[k][s] for k, s in cohorts]
+            into = math.fsum(sizes)
             ledger.into[t] = into
             excess = into - ledger.cap[t]
             if not (excess > 0 and into > 0):
                 continue
-            max_loss = None
+            low = min(sizes)
+            if low < 0:
+                k = cohorts[sizes.index(low)][0]
+                raise KernelError(f"negative contribution {low} from {ids[k]!r}")
+            rho = excess / into
             if adversarial:
                 # the most each path may lose here while its cumulative loss
                 # fraction stays within (1 + epsilon) times the loss ratios it
                 # traversed, this event included
-                rho = excess / into
-                max_loss = {
-                    ids[k]: max(0.0, (budget_scale * (frac_seen[k] + rho) - frac_lost[k])
+                max_loss = [max(0.0, (budget_scale * (frac_seen[k] + rho) - frac_lost[k])
                                 * records[k].sent[s])
-                    for k, s in cohorts
-                }
-            losses = allocate_loss(contributions, ledger.cap[t], policy, t, max_loss)
-            lost_total = math.fsum(losses.values())
+                            for k, s in cohorts]
+                losses = allocate_loss(sizes, into, excess, policy, t,
+                                       [ids[k] for k, _ in cohorts], max_loss)
+            else:
+                losses = [c * rho for c in sizes]
+            lost_total = math.fsum(losses)
             if abs(lost_total - excess) > CONSERVATION_RTOL * max(into, 1.0):
                 raise KernelError(
                     f"loss event at {ledger.resource_id!r} round {t} dropped {lost_total}, "
@@ -247,10 +231,9 @@ def run(scenario: Scenario) -> RunTrace:
                 )
             ledger.lost[t] = lost_total
             ratio = lost_total / into
-            for k, s in cohorts:
-                loss = losses[ids[k]]
+            for (k, s), c, loss in zip(cohorts, sizes, losses):
                 if loss > 0.0:
-                    survivors[k][s] = max(0.0, survivors[k][s] - loss)
+                    survivors[k][s] = max(0.0, c - loss)
                 if adversarial:
                     frac_lost[k] += loss / records[k].sent[s]
                     frac_seen[k] += ratio
@@ -272,8 +255,8 @@ def run(scenario: Scenario) -> RunTrace:
     trace = RunTrace(
         scenario=scenario,
         horizon=horizon,
-        paths={rec.path_id: rec for rec in records},
-        resources={led.resource_id: led for led in ledgers},
+        paths=dict(zip(ids, records)),
+        resources=dict(zip((r.id for r in scenario.resources), ledgers)),
     )
     # every packet dropped at a resource must surface as an end-to-end loss
     path_lost, res_lost = loss_totals(trace)

@@ -25,14 +25,13 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ._fork import forked
 from .model import Scenario, crossings, require_valid
 
 FEASIBILITY_ATOL = 1e-9
-OPTIMALITY_RTOL = 1e-6
 
 
 class OptimumError(RuntimeError):
@@ -270,11 +269,7 @@ def solve_opt(scenario: Scenario) -> OptimumSolution:
 
 
 def solution_to_dict(solution: OptimumSolution) -> dict:
-    return {
-        "rates": dict(solution.rates),
-        "opt_value": solution.opt_value,
-        "tight_constraints": [list(entry) for entry in solution.tight_constraints],
-    }
+    return asdict(solution)
 
 
 def export_solution(solution: OptimumSolution, path: str | Path) -> Path:

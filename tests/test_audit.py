@@ -140,7 +140,7 @@ def test_theorem_parameters_examples_and_validation():
     alpha, beta = theorem_parameters(0.1, 0.5)
     assert (alpha, beta) == (pytest.approx(0.005), pytest.approx(0.1))
     assert alpha < beta
-    for bad in ((0.0, 1.0, 1.0), (0.1, 0.0, 1.0), (0.1, 1.5, 1.0), (0.1, 1.0, 0.0)):
+    for bad in ((0.0, 1.0), (0.1, 0.0), (0.1, 1.5)):
         with pytest.raises(ValueError):
             theorem_parameters(*bad)
 

@@ -312,6 +312,24 @@ def test_a_zero_value_epsilon_sweep_exits_2_before_anything_is_written(tmp_path,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--sweep-duration", "0.5,0.5000001"],
+     "(epsilon 0.1, duration 0.5) and (epsilon 0.1, duration 0.5000001) would both write "
+     "eps0.1_dur0.5/"),
+    (["--sweep-duration", "1,1"],
+     "(epsilon 0.1, duration 1.0) and (epsilon 0.1, duration 1.0) would both write eps0.1_dur1/"),
+    (["--sweep-epsilon", "0.2,0.20000001", "--sweep-duration", "2,3"],
+     "(epsilon 0.2, duration 2.0) and (epsilon 0.20000001, duration 2.0) would both write "
+     "eps0.2_dur2/"),
+], ids=["near-equal-durations", "repeated-duration", "near-equal-epsilons"])
+def test_sweep_entries_sharing_a_directory_exit_2_before_anything_is_written(
+        tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(["--scenario", str(SINGLE), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: sweep entries {message}\n")
+    assert not out.exists()
+
+
 def test_bwtest_two_disjoint_links(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--scenario", str(BWPAIR), "--mode", "bwtest", "--out", str(out)]) == 0

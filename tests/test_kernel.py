@@ -18,7 +18,7 @@ from conftest import (
     single_link_scenario,
     step_resource,
 )
-from mimdsim import kernel
+from mimdsim import kernel, protocol
 from mimdsim.cli import main
 from mimdsim.kernel import (
     KernelError,
@@ -78,57 +78,66 @@ def test_two_paths_share_proportionally():
     assert trace.paths["B"].rcvd[0] == pytest.approx(40.0, rel=1e-12)
 
 
-def test_allocate_loss_basic_contracts():
-    assert allocate_loss({"A": 100.0, "B": 50.0}, 150.0, ProportionalLoss(), 0) == {
-        "A": 0.0, "B": 0.0,
-    }
-    losses = allocate_loss({"A": 100.0, "B": 50.0}, 120.0, ProportionalLoss(), 0)
-    assert losses["A"] == pytest.approx(20.0) and losses["B"] == pytest.approx(10.0)
-    with pytest.raises(KernelError):
-        allocate_loss({"A": -1.0}, 10.0, ProportionalLoss(), 0)
+def _two_paths(cap: float, policy=None, *, b_start: int = 0, b_rate: float = 50.0,
+               epsilon: float = 0.1) -> Scenario:
+    return Scenario(
+        resources=(constant_resource("r", cap),),
+        connections=(
+            simple_conn("A", ("r",), end=b_start, start_rate=100.0),
+            simple_conn("B", ("r",), start=b_start, end=b_start, start_rate=b_rate),
+        ),
+        epsilon=epsilon,
+        loss_policy=policy or ProportionalLoss(),
+    )
+
+
+def test_allocate_loss_basic_contracts(monkeypatch):
+    # an event within capacity loses nothing; a proportional excess is split
+    # by size ...
+    for cap, want in ((150.0, (0.0, 0.0)), (120.0, (20.0, 10.0))):
+        trace = run(_two_paths(cap))
+        assert (trace.paths["A"].lost[0], trace.paths["B"].lost[0]) == pytest.approx(want)
+
+    # ... and a negative contribution to a congested event is a kernel fault
+    # under either policy: A's first updated rate (round 1) is -1, B adds 200
+    monkeypatch.setattr(protocol, "update_rate", lambda *args: -1.0)
+    for policy in (ProportionalLoss(), AdversarialFairLoss(seed=5, target_path="B")):
+        with pytest.raises(KernelError, match="negative contribution -1.0 from 'A'"):
+            run(_two_paths(120.0, policy, b_start=1, b_rate=200.0))
 
 
 def test_allocate_loss_adversarial_with_fresh_budget():
     # excess 30, ratio 0.2; with eps = 0.6 the fresh budget for A is
     # (1 + 0.6) * 0.2 * 100 = 32, so the full excess lands on the target.
     policy = AdversarialFairLoss(seed=5, target_path="A")
-    losses = allocate_loss({"A": 100.0, "B": 50.0}, 120.0, policy, 0, {"A": 32.0, "B": 16.0})
-    assert losses == {"A": 30.0, "B": 0.0}
+    losses = allocate_loss([100.0, 50.0], 150.0, 30.0, policy, 0, ["A", "B"], [32.0, 16.0])
+    assert losses == [30.0, 0.0]
 
 
 def test_allocate_loss_adversarial_respects_budget_cap():
     policy = AdversarialFairLoss(seed=5, target_path="A")
-    losses = allocate_loss({"A": 100.0, "B": 50.0}, 120.0, policy, 0, {"A": 12.0, "B": 100.0})
-    assert losses["A"] == 12.0
-    assert losses["B"] == pytest.approx(18.0)
-    assert math.fsum(losses.values()) == pytest.approx(30.0, rel=1e-12)
+    losses = allocate_loss([100.0, 50.0], 150.0, 30.0, policy, 0, ["A", "B"], [12.0, 100.0])
+    assert losses[0] == 12.0
+    assert losses[1] == pytest.approx(18.0)
+    assert math.fsum(losses) == pytest.approx(30.0, rel=1e-12)
 
 
 def test_allocate_loss_budget_shortfall_is_rejected(monkeypatch):
     # budgets of 5 + 5 cannot cover an excess of 30: the allocator stays
     # within them instead of moving the rest onto contributions ...
     policy = AdversarialFairLoss(seed=5, target_path="A")
-    losses = allocate_loss({"A": 100.0, "B": 50.0}, 120.0, policy, 0, {"A": 5.0, "B": 5.0})
-    assert losses == {"A": 5.0, "B": 5.0}
+    losses = allocate_loss([100.0, 50.0], 150.0, 30.0, policy, 0, ["A", "B"], [5.0, 5.0])
+    assert losses == [5.0, 5.0]
 
     # ... and run refuses the shortfall through its per-event conservation check
     real = kernel.allocate_loss
 
-    def starved(contributions, cap, policy, round_idx, max_loss=None):
-        return real(contributions, cap, policy, round_idx, dict.fromkeys(contributions, 0.0))
+    def starved(sizes, into, excess, policy, round_idx, pids, max_loss):
+        return real(sizes, into, excess, policy, round_idx, pids, [0.0] * len(sizes))
 
     monkeypatch.setattr(kernel, "allocate_loss", starved)
-    sc = Scenario(
-        resources=(constant_resource("r", 120.0),),
-        connections=(
-            simple_conn("A", ("r",), end=0, start_rate=100.0),
-            simple_conn("B", ("r",), end=0, start_rate=50.0),
-        ),
-        epsilon=0.6,
-        loss_policy=policy,
-    )
     with pytest.raises(KernelError, match="excess was 30.0"):
-        run(sc)
+        run(_two_paths(120.0, policy, epsilon=0.6))
 
 
 def test_adversarial_run_biases_target_within_fairness():
@@ -259,24 +268,18 @@ def test_event_losses_match_aggregate_ledger():
     rng = random.Random(31)
     for _ in range(500):
         pids = [f"p{j}" for j in range(rng.randint(1, 6))]
-        contributions = {pid: 0.0 if j and rng.random() < 0.2 else rng.uniform(0.1, 10.0)
-                         for j, pid in enumerate(pids)}
-        into = math.fsum(contributions.values())
-        cap = rng.uniform(0.0, into)
-        excess = into - cap
-        if rng.random() < 0.5:
-            policy, max_loss = ProportionalLoss(), None
-        else:
-            policy = AdversarialFairLoss(seed=rng.randrange(2**32), target_path=rng.choice(pids))
-            # at least the proportional share, so the budgets cover the excess
-            max_loss = {pid: c * excess / into * rng.uniform(1.0, 3.0)
-                        for pid, c in contributions.items()}
-        losses = allocate_loss(contributions, cap, policy, rng.randrange(100), max_loss)
-        assert math.fsum(losses.values()) == pytest.approx(excess, rel=1e-12, abs=1e-12)
-        for pid, loss in losses.items():
-            assert 0.0 <= loss <= contributions[pid]
-            if max_loss is not None:
-                assert loss <= max_loss[pid] * (1 + 1e-12)
+        sizes = [0.0 if j and rng.random() < 0.2 else rng.uniform(0.1, 10.0)
+                 for j in range(len(pids))]
+        into = math.fsum(sizes)
+        excess = into - rng.uniform(0.0, into)
+        policy = AdversarialFairLoss(seed=rng.randrange(2**32), target_path=rng.choice(pids))
+        # at least the proportional share, so the budgets cover the excess
+        max_loss = [c * excess / into * rng.uniform(1.0, 3.0) for c in sizes]
+        losses = allocate_loss(sizes, into, excess, policy, rng.randrange(100), pids, max_loss)
+        assert math.fsum(losses) == pytest.approx(excess, rel=1e-12, abs=1e-12)
+        for c, budget, loss in zip(sizes, max_loss, losses):
+            assert 0.0 <= loss <= c
+            assert loss <= budget * (1 + 1e-12)
 
     # ... and the aggregate ledger records exactly that excess
     for _ in range(10):

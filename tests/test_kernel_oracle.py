@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from dataclasses import replace
 
 import oracle_kernel
 from conftest import constant_resource, random_scenario, simple_conn, step_resource
-from mimdsim.kernel import _tiebreak_order, path_csv, resource_csv, run
+from mimdsim.kernel import _tiebreak_order, allocate_loss, path_csv, resource_csv, run
 from mimdsim.model import AdversarialFairLoss, ProportionalLoss, Scenario
 
 
@@ -79,5 +80,37 @@ def test_chained_tiebreak_order_equals_the_whole_key_crc_order():
         round_idx = rng.randrange(200_000)
         pids = list({"".join(rng.choices(alphabet, k=rng.randint(1, 12)))
                      for _ in range(rng.randint(1, 30))})
-        want = sorted(pids, key=lambda p: (oracle_kernel._tiebreak_key(seed, round_idx, p), p))
+        want = sorted(range(len(pids)),
+                      key=lambda j: (oracle_kernel._tiebreak_key(seed, round_idx, pids[j]), pids[j]))
         assert _tiebreak_order(seed, round_idx, pids) == want
+
+
+def test_allocate_loss_splits_as_the_oracle_does_under_covering_budgets():
+    rng = random.Random(0xA110C)
+    names = [f"p{j}" for j in range(8)]
+    checked = clamped = 0
+    while checked < 600:
+        pids = rng.sample(names, rng.randint(1, 6))
+        sizes = [0.0 if rng.random() < 0.15 else rng.uniform(0.01, 50.0) for _ in pids]
+        into = math.fsum(sizes)
+        if into <= 0:
+            continue
+        cap = rng.uniform(0.0, into)
+        excess = into - cap
+        # the target is sometimes not in the event
+        policy = AdversarialFairLoss(seed=rng.randrange(2**32), target_path=rng.choice(names))
+        # from none to four times the proportional share, so that some paths
+        # clamp; only budgets that cover the excess are kept
+        max_loss = [c * excess / into * rng.choice([0.0, rng.uniform(0.2, 1.0),
+                                                    rng.uniform(1.0, 4.0)]) for c in sizes]
+        if math.fsum(map(min, sizes, max_loss)) < excess * (1 + 1e-9):
+            continue
+        checked += 1
+        round_idx = rng.randrange(10_000)
+        got = allocate_loss(sizes, into, excess, policy, round_idx, pids, max_loss)
+        ctx = oracle_kernel.AdversarialContext(policy.target_path, dict(zip(pids, max_loss)),
+                                               policy.seed)
+        want = oracle_kernel.allocate_loss(dict(zip(pids, sizes)), cap, policy, round_idx, ctx)
+        assert got == [want[pid] for pid in pids]
+        clamped += any(0 < loss == min(c, b) for c, b, loss in zip(sizes, max_loss, got))
+    assert clamped >= 100

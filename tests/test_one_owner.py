@@ -1,5 +1,5 @@
-"""One owner per rule: one fork site, and one module that turns hop delays
-into transit rounds."""
+"""One owner per rule: one fork site, one module that turns hop delays into
+transit rounds, and one that splits loss events."""
 
 from __future__ import annotations
 
@@ -31,3 +31,15 @@ def test_only_the_model_reads_hop_delays_or_pre_delays():
             if isinstance(node, ast.Attribute) and node.attr in readers:
                 readers[node.attr].add(name)
     assert readers == {"hop_delays": {"model.py"}, "pre_delay_at": {"model.py"}}
+
+
+def test_loss_events_are_split_in_the_kernel_without_per_event_dicts():
+    modules = _modules()
+    callers = {name for name, tree in modules.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and "allocate_loss" in (getattr(node.func, "attr", None),
+                                       getattr(node.func, "id", None))}
+    assert callers == {"kernel.py"}
+    run = next(node for node in modules["kernel.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    assert not [node for node in ast.walk(run) if isinstance(node, ast.DictComp)]
