@@ -42,17 +42,12 @@ from .optimum import (
 from .audit import (
     AuditError,
     AuditReport,
-    check_lemma1,
-    check_lemma3,
     competitive_ratio,
     export_report,
-    max_received,
     measure_fairness,
     report_to_dict,
-    sent_ceiling_slack,
     summary_line,
     theorem_parameters,
-    weighted_throughput,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,10 @@ beta * U / (beta - alpha) where U is the peak per-round received amount
 stated bound); the randomized suites keep starts feasible so both slacks
 must be non-negative up to float tolerance.
 
+``competitive_ratio`` fills both slacks, the peak U, the per-path
+constants b and c, the duration threshold terms and the weighted throughput
+in one pass over the connections, reading each path's arrival window once.
+
 Fairness is measured as the smallest eps for which each path's cumulative
 loss fraction is within (1 + eps) of the summed per-resource loss ratios it
 traversed. The final report pairs the protocol's weighted throughput with
@@ -31,7 +35,7 @@ from pathlib import Path
 
 from . import kernel, optimum
 from .kernel import ResourceLedger, RunTrace, loss_totals
-from .model import Scenario, crossings, require_valid
+from .model import Scenario, crossings
 from .optimum import OptimumSolution, UnboundedOptimumError
 
 
@@ -61,55 +65,6 @@ class AuditReport:
     duration_threshold: float | None
     opt_value: float | None
     competitive_ratio: float | None
-
-
-def max_received(trace: RunTrace, path_id: str) -> float:
-    """Peak per-round amount received on the path over its arrival window."""
-    c = trace.scenario.connection(path_id)
-    return max(trace.paths[path_id].rcvd[c.shifted_window().as_slice()], default=0.0)
-
-
-def check_lemma1(trace: RunTrace, path_id: str) -> float:
-    """Slack of the throughput floor; >= 0 (up to float noise) on every run."""
-    c = trace.scenario.connection(path_id)
-    rec = trace.paths[path_id]
-    window = c.shifted_window().as_slice()
-    total_rcvd = math.fsum(rec.rcvd[window])
-    total_lost = math.fsum(rec.lost[window])
-    rhs = (c.beta / c.alpha - 1.0) * total_lost - (c.total_delay + 1) * c.start_rate / c.alpha
-    return total_rcvd - rhs
-
-
-def check_lemma3(trace: RunTrace, path_id: str) -> float | None:
-    """Slack of the loss floor, or None when the path never received anything."""
-    c = trace.scenario.connection(path_id)
-    rec = trace.paths[path_id]
-    peak = max_received(trace, path_id)
-    if peak <= 0.0:
-        return None
-    total_lsr = math.fsum(rec.lsr[c.shifted_window().as_slice()])
-    growth = (
-        c.alpha * (1.0 - c.beta) / (c.beta * (1.0 + c.alpha))
-        * (c.duration - 1 - c.total_delay)
-    )
-    log_term = (
-        (1.0 - c.beta) / c.beta
-        * (1 + c.total_delay)
-        * math.log(c.beta * peak / ((c.beta - c.alpha) * c.start_rate))
-    )
-    return total_lsr - (growth - log_term)
-
-
-def sent_ceiling_slack(trace: RunTrace, path_id: str) -> float:
-    """max allowed send minus actual max send; >= 0 up to 1e-9 relative.
-
-    The ceiling is max(start_rate, peak_received * beta / (beta - alpha)).
-    """
-    c = trace.scenario.connection(path_id)
-    rec = trace.paths[path_id]
-    peak_sent = max(rec.sent[c.active_window().as_slice()], default=0.0)
-    ceiling = max(c.start_rate, max_received(trace, path_id) * c.beta / (c.beta - c.alpha))
-    return ceiling * (1.0 + 1e-9) - peak_sent
 
 
 def measure_fairness(trace: RunTrace) -> float:
@@ -159,33 +114,43 @@ def theorem_parameters(epsilon: float, val: float) -> tuple[float, float]:
     return alpha, beta
 
 
-def weighted_throughput(trace: RunTrace) -> float:
-    return math.fsum(
-        c.value * math.fsum(trace.paths[c.id].rcvd[c.shifted_window().as_slice()])
-        for c in trace.scenario.connections
-    )
-
-
 def competitive_ratio(trace: RunTrace, opt: OptimumSolution | None) -> AuditReport:
     """Assemble the full report; opt may be None when it was unbounded or is
-    not known yet (see ``finish``)."""
+    not known yet (see ``finish``). One pass over the connections reads each
+    path's record and arrival window once and fills every per-path field."""
     scenario = trace.scenario
-    throughput = weighted_throughput(trace)
-    total_lost_paths, total_lost_resources = loss_totals(trace)
-
-    lemma1 = {c.id: check_lemma1(trace, c.id) for c in scenario.connections}
-    lemma3 = {c.id: check_lemma3(trace, c.id) for c in scenario.connections}
-    peaks = {c.id: max_received(trace, c.id) for c in scenario.connections}
-
-    per_path_b = {c.id: (c.beta / c.alpha - 1.0) * c.value for c in scenario.connections}
+    throughput_terms = []
+    lemma1: dict[str, float] = {}
+    lemma3: dict[str, float | None] = {}
+    peaks: dict[str, float] = {}
+    per_path_b: dict[str, float] = {}
     per_path_c: dict[str, float | None] = {}
     threshold_terms = []
     for c in scenario.connections:
-        peak = peaks[c.id]
-        if peak <= 0.0 or c.value <= 0.0:
-            per_path_c[c.id] = None
+        rec = trace.paths[c.id]
+        window = c.shifted_window().as_slice()
+        rcvd = rec.rcvd[window]
+        total_rcvd = math.fsum(rcvd)
+        throughput_terms.append(c.value * total_rcvd)
+        total_lost = math.fsum(rec.lost[window])
+        rhs = (c.beta / c.alpha - 1.0) * total_lost - (c.total_delay + 1) * c.start_rate / c.alpha
+        lemma1[c.id] = total_rcvd - rhs
+        peak = peaks[c.id] = max(rcvd, default=0.0)
+        per_path_b[c.id] = (c.beta / c.alpha - 1.0) * c.value
+        if peak <= 0.0:
+            lemma3[c.id] = per_path_c[c.id] = None
             continue
         log_term = math.log(c.beta * peak / ((c.beta - c.alpha) * c.start_rate))
+        total_lsr = math.fsum(rec.lsr[window])
+        growth = (
+            c.alpha * (1.0 - c.beta) / (c.beta * (1.0 + c.alpha))
+            * (c.duration - 1 - c.total_delay)
+        )
+        loss_log = (1.0 - c.beta) / c.beta * (1 + c.total_delay) * log_term
+        lemma3[c.id] = total_lsr - (growth - loss_log)
+        if c.value <= 0.0:
+            per_path_c[c.id] = None
+            continue
         frac = (1 + c.total_delay) / c.duration
         per_path_c[c.id] = (
             c.alpha * (1.0 - c.beta) / (c.beta * (1.0 + c.alpha) * c.value) * (1.0 - frac)
@@ -197,9 +162,10 @@ def competitive_ratio(trace: RunTrace, opt: OptimumSolution | None) -> AuditRepo
                 / (scenario.epsilon ** 2 * c.beta * c.value)
             )
 
+    total_lost_paths, total_lost_resources = loss_totals(trace)
     finite_c = [v for v in per_path_c.values() if v is not None]
     report = AuditReport(
-        weighted_throughput=throughput,
+        weighted_throughput=math.fsum(throughput_terms),
         total_lost_paths=total_lost_paths,
         total_lost_resources=total_lost_resources,
         lemma1_slack=lemma1,
@@ -264,7 +230,6 @@ def bandwidth_test(scenario: Scenario) -> dict:
         scenario,
         connections=tuple(replace(c, value=1.0) for c in scenario.connections),
     )
-    require_valid(equalized)
     trace = kernel.run(equalized)
     start, end = next(iter(intervals))
 

@@ -125,24 +125,40 @@ def _sweep_dir(scenario: Scenario, eps: float | None, duration: float) -> str:
     return f"eps{scenario.epsilon if eps is None else eps:g}_dur{duration:g}"
 
 
-def _sweep_pairs(sweep_epsilon: list[float] | None,
-                 sweep_duration: list[float] | None) -> list[tuple[float | None, float]]:
-    """(epsilon or None, duration multiplier) per sweep entry, in run order."""
+_Entry = tuple[Scenario, Path, float]
+
+
+def _simulate_entries(scenario: Scenario, outdir: Path,
+                      sweep_epsilon: list[float] | None,
+                      sweep_duration: list[float] | None) -> list[_Entry]:
+    """(scenario, output directory, duration multiplier) per run, in run order:
+    the base run, then one entry per sweep pair. UsageError when a duration
+    overflows a connection's window or two entries would share a directory."""
+    entries: list[_Entry] = [(scenario, outdir, 1.0)]
     if sweep_epsilon is None and sweep_duration is None:
-        return []
-    return [(eps, dur) for eps in sweep_epsilon or [None] for dur in sweep_duration or [1.0]]
+        return entries
+    seen: dict[str, str] = {}
+    for eps in sweep_epsilon or [None]:
+        for dur in sweep_duration or [1.0]:
+            try:
+                variant = _sweep_variant(scenario, eps, dur)
+            except OverflowError:
+                raise UsageError(
+                    f"--sweep-duration: {dur!r} overflows a connection's window") from None
+            name = _sweep_dir(scenario, eps, dur)
+            entry = f"(epsilon {variant.epsilon!r}, duration {dur!r})"
+            if name in seen:
+                raise UsageError(f"sweep entries {seen[name]} and {entry} would both write {name}/")
+            seen[name] = entry
+            entries.append((variant, outdir / name, dur))
+    return entries
 
 
-def cmd_simulate(scenario: Scenario, outdir: Path,
-                 sweep_epsilon: list[float] | None,
-                 sweep_duration: list[float] | None) -> int:
-    """The base run, then one entry per sweep pair. Every kernel runs (pass 1)
-    while the LP worker imports scipy, before any LP (pass 2); pass 2 also
-    finishes the entries measured before a pass-1 failure."""
-    entries: list[tuple[Scenario, Path, float]] = [(scenario, outdir, 1.0)]
-    for eps, dur in _sweep_pairs(sweep_epsilon, sweep_duration):
-        entries.append((_sweep_variant(scenario, eps, dur),
-                        outdir / _sweep_dir(scenario, eps, dur), dur))
+def cmd_simulate(entries: list[_Entry]) -> int:
+    """Run every entry of ``_simulate_entries``; a sweep's summary goes into
+    the base entry's directory. Every kernel runs (pass 1) while the LP
+    worker imports scipy, before any LP (pass 2); pass 2 also finishes the
+    entries measured before a pass-1 failure."""
     measured: list[audit.AuditReport] = []
     reports: list[audit.AuditReport] = []
     try:
@@ -163,7 +179,7 @@ def cmd_simulate(scenario: Scenario, outdir: Path,
     for eps, dur, ratio, eps_hat in rows:
         ratio_s = "" if ratio is None else repr(ratio)
         lines.append(f"{eps!r},{dur!r},{ratio_s},{eps_hat!r}")
-    (outdir / "sweep_summary.csv").write_text("\n".join(lines) + "\n")
+    (entries[0][1] / "sweep_summary.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -214,21 +230,15 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(
                 f"connection {zero[0]!r} has value 0; epsilon sweeps need positive values"
             )
-        seen: dict[str, str] = {}
-        for eps, dur in _sweep_pairs(sweep_eps, sweep_dur):
-            name = _sweep_dir(scenario, eps, dur)
-            entry = f"(epsilon {scenario.epsilon if eps is None else eps!r}, duration {dur!r})"
-            if name in seen:
-                raise UsageError(f"sweep entries {seen[name]} and {entry} would both write {name}/")
-            seen[name] = entry
         out_dir = Path(args.out)
+        entries = _simulate_entries(scenario, out_dir, sweep_eps, sweep_dur)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise UsageError(f"output directory is not writable: {exc}") from exc
         with optimum.lp_worker():
             if args.mode == "simulate":
-                return cmd_simulate(scenario, out_dir, sweep_eps, sweep_dur)
+                return cmd_simulate(entries)
             if args.mode == "audit":
                 return cmd_audit(scenario, out_dir)
             if args.mode == "opt":

@@ -133,12 +133,8 @@ def allocate_loss(
                 losses[j] = caps[j]
                 active.remove(j)
             continue
-        assigned = 0.0
         for j in active:
-            share = need * sizes[j] / total_w
-            losses[j] += share
-            assigned += share
-        need -= assigned
+            losses[j] += need * sizes[j] / total_w
         break
     return losses
 

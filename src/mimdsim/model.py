@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
-ID_PATTERN = re.compile(r"^[A-Za-z0-9_.-]+$")
+ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 class ScenarioParseError(ValueError):
@@ -189,12 +189,6 @@ class Scenario:
             return -1
         return max(c.end + c.total_delay for c in self.connections)
 
-    def connection(self, cid: str) -> ConnectionSpec:
-        for c in self.connections:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
 
 def crossings(scenario: Scenario) -> list[tuple[int, int, int, int, int]]:
     """Every hop of every connection once, in connection order, then route order.
@@ -263,7 +257,7 @@ def validate(scenario: Scenario) -> list[Violation]:
     seen_res: set[str] = set()
     for r in scenario.resources:
         where = f"resource {r.id!r}"
-        if not isinstance(r.id, str) or not ID_PATTERN.match(r.id or ""):
+        if not isinstance(r.id, str) or not ID_PATTERN.fullmatch(r.id or ""):
             out.append(Violation(where, "id must match [A-Za-z0-9_.-]+"))
         if r.id in seen_res:
             out.append(Violation(where, "duplicate resource id"))
@@ -284,7 +278,7 @@ def validate(scenario: Scenario) -> list[Violation]:
     seen_conn: set[str] = set()
     for c in scenario.connections:
         where = f"connection {c.id!r}"
-        if not isinstance(c.id, str) or not ID_PATTERN.match(c.id or ""):
+        if not isinstance(c.id, str) or not ID_PATTERN.fullmatch(c.id or ""):
             out.append(Violation(where, "id must match [A-Za-z0-9_.-]+"))
         if c.id in seen_conn:
             out.append(Violation(where, "duplicate connection id"))

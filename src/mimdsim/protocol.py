@@ -13,6 +13,8 @@ unit-tested against hand traces.
 
 from __future__ import annotations
 
+import math
+
 # Relative slack forgiven when acknowledgment arithmetic leaves tiny
 # negative loss fractions; anything larger is a conservation bug upstream.
 LSR_CLAMP_TOLERANCE = 1e-12
@@ -27,7 +29,9 @@ def update_rate(prev: float, lsr: float, alpha: float, beta: float) -> float:
     if not 0.0 <= lsr <= 1.0:
         raise ProtocolError(f"loss fraction {lsr} outside [0,1]")
     rate = prev * (1.0 + alpha - beta * lsr)
-    if not rate > 0:
+    if not 0.0 < rate < math.inf:
+        if rate > 0:
+            raise ProtocolError(f"send rate overflowed to {rate}")
         raise ProtocolError(f"non-positive send rate {rate}")
     return rate
 

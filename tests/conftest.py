@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from mimdsim.kernel import RunTrace
 from mimdsim.model import (
     AdversarialFairLoss,
     CapacityTimeline,
@@ -82,6 +83,18 @@ def single_link_scenario(
         epsilon=epsilon,
         loss_policy=policy or ProportionalLoss(),
     )
+
+
+def sent_ceiling_slack(trace: RunTrace, c: ConnectionSpec) -> float:
+    """max allowed send minus actual max send; >= 0 up to 1e-9 relative.
+
+    The ceiling is max(start_rate, peak_received * beta / (beta - alpha)).
+    """
+    rec = trace.paths[c.id]
+    peak_sent = max(rec.sent[c.active_window().as_slice()], default=0.0)
+    peak_rcvd = max(rec.rcvd[c.shifted_window().as_slice()], default=0.0)
+    ceiling = max(c.start_rate, peak_rcvd * c.beta / (c.beta - c.alpha))
+    return ceiling * (1.0 + 1e-9) - peak_sent
 
 
 def random_scenario(rng: random.Random) -> Scenario:

@@ -18,11 +18,12 @@ from conftest import (
     grid_resolution,
     lp_instance,
     scenario_suite,
+    sent_ceiling_slack,
     simple_conn,
     single_link_scenario,
 )
 from mimdsim import audit
-from mimdsim.audit import competitive_ratio, sent_ceiling_slack, theorem_parameters
+from mimdsim.audit import competitive_ratio, theorem_parameters
 from mimdsim.audit import bandwidth_test
 from mimdsim.kernel import path_csv, resource_csv, run
 from mimdsim.model import (
@@ -79,21 +80,22 @@ def test_criterion_2_lemma_suite(acceptance_suite):
     violations = 0
     paths = 0
     for sc, trace in acceptance_suite:
+        report = competitive_ratio(trace, None)
         for c in sc.connections:
             paths += 1
             rec = trace.paths[c.id]
             throughput = math.fsum(rec.rcvd[t] for t in c.shifted_window().rounds())
-            slack1 = audit.check_lemma1(trace, c.id)
+            slack1 = report.lemma1_slack[c.id]
             if slack1 < -1e-6 * (throughput + 1.0):
                 violations += 1
             # the loss-floor bound assumes a feasible start; the generator
             # guarantees it, so no degenerate markers are tolerated here
-            peak = audit.max_received(trace, c.id)
+            peak = report.U[c.id]
             assert peak >= c.start_rate * (c.beta - c.alpha) / c.beta * (1 - 1e-9)
-            slack3 = audit.check_lemma3(trace, c.id)
+            slack3 = report.lemma3_slack[c.id]
             if slack3 is None or slack3 < -1e-6 * (c.duration + 1):
                 violations += 1
-            if sent_ceiling_slack(trace, c.id) < 0.0:
+            if sent_ceiling_slack(trace, c) < 0.0:
                 violations += 1
     assert violations == 0
     _report(f"[criterion 2] PASS lemma slacks and sent ceiling on {paths} paths, 0 violations")

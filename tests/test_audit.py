@@ -7,21 +7,31 @@ import random
 
 import pytest
 
-from conftest import random_scenario, single_link_scenario
+from conftest import (
+    constant_resource,
+    random_scenario,
+    sent_ceiling_slack,
+    simple_conn,
+    single_link_scenario,
+)
 from mimdsim import audit
 from mimdsim.audit import (
     AuditError,
-    check_lemma1,
-    check_lemma3,
     competitive_ratio,
     measure_fairness,
-    sent_ceiling_slack,
     summary_line,
     theorem_parameters,
 )
 from mimdsim.kernel import path_csv, run
-from mimdsim.model import AdversarialFairLoss, ProportionalLoss
+from mimdsim.model import AdversarialFairLoss, ProportionalLoss, Scenario
 from mimdsim.optimum import OptimumSolution, solve_opt
+from oracle_audit import reference_fields
+
+
+def _slacks(trace) -> tuple[float, float | None]:
+    """p0's lemma 1 and lemma 3 slacks from the trace-only report."""
+    report = competitive_ratio(trace, None)
+    return report.lemma1_slack["p0"], report.lemma3_slack["p0"]
 
 
 def test_lemma1_lossless_equals_throughput_plus_warmup_allowance():
@@ -29,7 +39,7 @@ def test_lemma1_lossless_equals_throughput_plus_warmup_allowance():
     trace = run(sc)
     c = sc.connections[0]
     total_rcvd = math.fsum(trace.paths["p0"].rcvd[t] for t in c.shifted_window().rounds())
-    slack = check_lemma1(trace, "p0")
+    slack, _ = _slacks(trace)
     assert slack == pytest.approx(total_rcvd + (c.total_delay + 1) * c.start_rate / c.alpha)
     assert slack > 0
 
@@ -43,21 +53,21 @@ def test_lemma1_holds_on_the_overloaded_single_link():
     lhs = math.fsum(rec.rcvd[t] for t in rounds)
     rhs = (c.beta / c.alpha - 1.0) * math.fsum(rec.lost[t] for t in rounds) \
         - (c.total_delay + 1) * c.start_rate / c.alpha
-    assert check_lemma1(trace, "p0") == pytest.approx(lhs - rhs, rel=1e-12)
+    assert _slacks(trace)[0] == pytest.approx(lhs - rhs, rel=1e-12)
     assert lhs - rhs >= -1e-6 * (lhs + 1.0)
 
 
 def test_lemma3_lossless_run_has_nonnegative_slack():
     sc = single_link_scenario(cap=1e9, duration=50, start_rate=0.5, delay=2)
     trace = run(sc)
-    slack = check_lemma3(trace, "p0")
+    _, slack = _slacks(trace)
     assert slack is not None and slack >= 0.0
 
 
 def test_lemma3_fixed_point_run_dominated_by_loss_ratio_sum():
     sc = single_link_scenario(cap=100.0, duration=2000)
     trace = run(sc)
-    slack = check_lemma3(trace, "p0")
+    _, slack = _slacks(trace)
     c = sc.connections[0]
     # steady state contributes about alpha/beta per round against the
     # growth term scaled by (1-beta)/(1+alpha); the gap grows linearly
@@ -70,7 +80,7 @@ def test_lemma3_warmup_only_duration_reduces_to_log_term():
     sc = single_link_scenario(cap=1e6, duration=3, delay=2, start_rate=4.0)
     trace = run(sc)
     c = sc.connections[0]
-    slack = check_lemma3(trace, "p0")
+    _, slack = _slacks(trace)
     expected = (1 - c.beta) / c.beta * (1 + c.total_delay) * math.log(c.beta / (c.beta - c.alpha))
     assert slack == pytest.approx(expected, rel=1e-9)
     assert slack >= 0.0
@@ -88,7 +98,6 @@ def test_warmup_only_path_still_gets_a_ratio():
 def test_lemma3_degenerate_when_nothing_received():
     sc = single_link_scenario(cap=0.0, duration=10)
     trace = run(sc)
-    assert check_lemma3(trace, "p0") is None
     report = competitive_ratio(trace, None)
     assert report.lemma3_slack["p0"] is None
     assert "lemma3_min_slack=n/a" in summary_line(report)
@@ -100,7 +109,48 @@ def test_sent_ceiling_holds_on_random_runs():
         sc = random_scenario(rng)
         trace = run(sc)
         for c in sc.connections:
-            assert sent_ceiling_slack(trace, c.id) >= 0.0
+            assert sent_ceiling_slack(trace, c) >= 0.0
+
+
+def _edge_scenarios() -> list[Scenario]:
+    """Paths the random suite never builds: nothing received, value 0,
+    warm-up only, no connections at all."""
+    with_idle_path = Scenario(
+        resources=(constant_resource("link", 30.0),),
+        connections=(
+            simple_conn("p0", ("link",), end=99, start_rate=5.0),
+            simple_conn("idle", ("link",), value=0.0, end=49, delay=1, hop_delays=(1,)),
+        ),
+        epsilon=0.1,
+    )
+    return [
+        single_link_scenario(cap=0.0, duration=10),
+        single_link_scenario(cap=1e6, duration=3, delay=2, start_rate=4.0),
+        single_link_scenario(cap=50.0, duration=800,
+                             policy=AdversarialFairLoss(seed=5, target_path="p0")),
+        with_idle_path,
+        Scenario(resources=(constant_resource("link", 5.0),), connections=(), epsilon=0.1),
+    ]
+
+
+def test_one_pass_report_equals_the_per_path_formulas(acceptance_suite):
+    """Every per-path field, and b, c, the threshold and the weighted
+    throughput built from them, equal the helper-by-helper formulas of
+    ``oracle_audit`` bit for bit, under both policies."""
+    policies = {ProportionalLoss: 0, AdversarialFairLoss: 0}
+    edges = [run(sc) for sc in _edge_scenarios()]
+    for trace in [trace for _, trace in acceptance_suite] + edges:
+        policies[type(trace.scenario.loss_policy)] += 1
+        report = competitive_ratio(trace, None)
+        for field, expected in reference_fields(trace).items():
+            assert getattr(report, field) == expected, field
+    assert policies[ProportionalLoss] > 0 and policies[AdversarialFairLoss] > 0
+    # the edges are reached: a degenerate path, and a value-0 path that
+    # has a loss-floor slack but no per-path c
+    assert competitive_ratio(edges[0], None).lemma3_slack["p0"] is None
+    idle = competitive_ratio(edges[3], None)
+    assert idle.per_path_c["idle"] is None and idle.lemma3_slack["idle"] is not None
+    assert idle.per_path_c["p0"] is not None
 
 
 def test_fairness_zero_for_lossless_and_bounded_for_proportional():

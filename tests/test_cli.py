@@ -102,6 +102,31 @@ def test_rate_underflow_exits_3_and_names_the_path(tmp_path, capsys):
     assert "path 'flow' round 166" in err and "non-positive send rate" in err
 
 
+def test_rate_overflow_exits_3_and_names_the_path(tmp_path, capsys):
+    doc = json.loads(SINGLE.read_text())
+    doc["resources"][0]["capacity"] = [{"from_round": 0, "value": "inf"}]
+    doc["connections"][0].update(alpha=0.5, beta=0.9, start_rate=1.0, active=[0, 1999])
+    sc = tmp_path / "overflow.json"
+    sc.write_text(json.dumps(doc))
+    assert main(["--scenario", str(sc), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr() == (
+        "", "error: path 'flow' round 1751: send rate overflowed to inf\n"
+    )
+
+
+def test_an_id_with_a_trailing_newline_exits_2_before_anything_is_written(tmp_path, capsys):
+    doc = json.loads(SINGLE.read_text())
+    doc["connections"][0]["id"] = "flow\n"
+    sc = tmp_path / "newline.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--scenario", str(sc), "--out", str(out)]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "connection 'flow\\n': id must match [A-Za-z0-9_.-]+" in err
+    assert not out.exists()
+
+
 def test_simulate_still_runs_when_opt_is_unbounded(tmp_path, capsys):
     doc = json.loads(SINGLE.read_text())
     doc["resources"][0]["capacity"] = [{"from_round": 0, "value": "inf"}]
@@ -327,6 +352,16 @@ def test_sweep_entries_sharing_a_directory_exit_2_before_anything_is_written(
     out = tmp_path / "out"
     assert main(["--scenario", str(SINGLE), "--out", str(out), *flags]) == 2
     assert capsys.readouterr() == ("", f"error: sweep entries {message}\n")
+    assert not out.exists()
+
+
+def test_an_overflowing_sweep_duration_exits_2_before_anything_is_written(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["--scenario", str(SHARED), "--out", str(out), "--sweep-duration", "2,1e308"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: --sweep-duration: 1e+308 overflows a connection's window\n"
+    )
     assert not out.exists()
 
 

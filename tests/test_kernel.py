@@ -212,6 +212,14 @@ def test_rate_underflow_error_names_the_path_and_round():
         run(sc)
 
 
+def test_rate_overflow_error_names_the_path_and_round():
+    # infinite capacity drops nothing, so each update multiplies by 1.5 until
+    # the rate overflows to inf in round 1751
+    sc = single_link_scenario(cap=math.inf, duration=2000, alpha=0.5, beta=0.9, start_rate=1.0)
+    with pytest.raises(ProtocolError, match=r"^path 'p0' round 1751: send rate overflowed to inf$"):
+        run(sc)
+
+
 def test_congested_only_discard_property():
     rng = random.Random(2024)
     for _ in range(15):

@@ -138,6 +138,17 @@ def test_topo_order_takes_the_lowest_ready_index_and_flags_cycles():
     assert topo_order(nodes, {("c", "a"), ("a", "c")}) is None
 
 
+def test_an_id_with_a_trailing_newline_is_a_violation():
+    for rid, cid, where in (("r0\n", "p0", "resource 'r0\\n'"),
+                            ("r0", "p0\n", "connection 'p0\\n'")):
+        sc = Scenario(resources=(constant_resource(rid, 10.0),),
+                      connections=(simple_conn(cid, (rid,)),), epsilon=0.1)
+        assert [str(v) for v in validate(sc)] == [f"{where}: id must match [A-Za-z0-9_.-]+"]
+    sc = Scenario(resources=(constant_resource("r.0-a_B", 10.0),),
+                  connections=(simple_conn("p.0-a_B", ("r.0-a_B",)),), epsilon=0.1)
+    assert validate(sc) == []
+
+
 def test_validate_is_idempotent_and_pure():
     bad = scenario_with({"alpha": 0.5, "beta": 0.2})
     assert validate(bad) == validate(bad)

@@ -63,6 +63,12 @@ def test_update_rejects_a_rate_that_underflows_to_zero():
         update_rate(5e-324, 1.0, 0.001, 0.99)
 
 
+def test_update_rejects_a_rate_that_overflows_to_inf():
+    with pytest.raises(ProtocolError, match="send rate overflowed to inf"):
+        update_rate(1.5e308, 0.0, 0.5, 0.9)
+    assert update_rate(1e308, 0.0, 0.5, 0.9) == 1.5e308
+
+
 def test_determinism_identical_history_identical_output():
     def build():
         return update_rate(3.0, loss_fraction(3.0, 2.1), 0.017, 0.23)
