@@ -27,8 +27,6 @@ from .kernel import (
     RunTrace,
     allocate_loss,
     export_trace,
-    path_csv,
-    resource_csv,
     run,
 )
 from .optimum import (

@@ -12,10 +12,11 @@ cohort losing the same fraction, and adversarial loss goes through
 ``allocate_loss``; (3) cohorts reaching their destination are recorded and
 fed back to the source.
 
-Survivors are kept per path and send round and updated in place, so a
-cohort crossing several zero-latency hops sees each pooled loss event in
-route order. Runs are single-threaded and bit-for-bit deterministic; traces
-are immutable once returned.
+Each cohort is stored once, in ``rcvd[s + total_delay]`` from its send round
+``s`` on, and cut there in place by each loss event, so a cohort crossing
+zero-latency hops sees their pooled losses in route order and arrives with no
+copy. Runs are single-threaded and bit-for-bit deterministic; traces are
+immutable once returned.
 """
 
 from __future__ import annotations
@@ -126,15 +127,18 @@ def allocate_loss(
         total_w = math.fsum(sizes[j] for j in active)
         if total_w <= 0:
             break
-        clamped = [j for j in active if need * sizes[j] / total_w >= caps[j] - losses[j]]
+        # need * size overflows past about 1e154; only there divide first
+        shares = [part / total_w if math.isfinite(part := need * sizes[j])
+                  else need * (sizes[j] / total_w) for j in active]
+        clamped = [j for j, share in zip(active, shares) if share >= caps[j] - losses[j]]
         if clamped:
             for j in clamped:
                 need -= caps[j] - losses[j]
                 losses[j] = caps[j]
                 active.remove(j)
             continue
-        for j in active:
-            losses[j] += need * sizes[j] / total_w
+        for j, share in zip(active, shares):
+            losses[j] += share
         break
     return losses
 
@@ -158,8 +162,9 @@ def run(scenario: Scenario) -> RunTrace:
         for r in scenario.resources
     ]
     records = [PathRecord(c.id, zeros(), zeros(), zeros(), zeros()) for c in conns]
-    # survivors[k][s]: what is left of path k's cohort sent at round s
-    survivors = [zeros() for _ in conns]
+    # inflight[k][s]: what is left of path k's cohort sent at round s, kept
+    # from the send on in rcvd[s + total_delay], where it arrives
+    inflight = [memoryview(rec.rcvd)[c.total_delay:] for rec, c in zip(records, conns)]
 
     # The static schedule: each resource in same-round precedence order with
     # its members (path, pre-delay, first and last transit round).
@@ -190,14 +195,14 @@ def run(scenario: Scenario) -> RunTrace:
                 except protocol.ProtocolError as exc:
                     raise protocol.ProtocolError(f"path {c.id!r} round {t}: {exc}") from exc
             rec.sent[t] = rate
-            survivors[k][t] = rate
+            inflight[k][t] = rate
 
         # Each scheduled resource pools its active cohorts and discards the excess.
         for ledger, group in schedule:
             cohorts = [(k, t - pre) for k, pre, lo, hi in group if lo <= t <= hi]
             if not cohorts:
                 continue
-            sizes = [survivors[k][s] for k, s in cohorts]
+            sizes = [inflight[k][s] for k, s in cohorts]
             into = math.fsum(sizes)
             ledger.into[t] = into
             excess = into - ledger.cap[t]
@@ -229,19 +234,18 @@ def run(scenario: Scenario) -> RunTrace:
             ratio = lost_total / into
             for (k, s), c, loss in zip(cohorts, sizes, losses):
                 if loss > 0.0:
-                    survivors[k][s] = max(0.0, c - loss)
+                    inflight[k][s] = max(0.0, c - loss)
                 if adversarial:
                     frac_lost[k] += loss / records[k].sent[s]
                     frac_seen[k] += ratio
 
-        # Arrivals: record and feed back.
+        # Arrivals: what is left in rcvd[t] is received; record and feed back.
         for k, c in enumerate(conns):
             s = t - c.total_delay
             if not (c.start <= s <= c.end):
                 continue
             rec = records[k]
-            got = survivors[k][s]
-            rec.rcvd[t] = got
+            got = rec.rcvd[t]
             rec.lost[t] = rec.sent[s] - got
             try:
                 rec.lsr[t] = protocol.loss_fraction(rec.sent[s], got)
@@ -300,15 +304,6 @@ def _csv_chunks(record: PathRecord | ResourceLedger, columns: tuple[str, ...],
     for lo in range(0, n_rounds, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, n_rounds)
         yield "".join([row % r for r in zip(range(lo, hi), *(a[lo:hi] for a in arrays))])
-
-
-def path_csv(trace: RunTrace, path_id: str) -> str:
-    return "".join(_csv_chunks(trace.paths[path_id], _PATH_COLUMNS, trace.horizon + 1))
-
-
-def resource_csv(trace: RunTrace, resource_id: str) -> str:
-    return "".join(_csv_chunks(trace.resources[resource_id], _RESOURCE_COLUMNS,
-                               trace.horizon + 1))
 
 
 def _write_csvs(files: list[_CsvFile], n_rounds: int) -> None:

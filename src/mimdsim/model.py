@@ -62,22 +62,15 @@ class CapacityTimeline:
     steps: tuple[tuple[int, float], ...]
 
     def at(self, t: int) -> float:
-        rounds = [s[0] for s in self.steps]
-        i = bisect_right(rounds, t) - 1
-        if i < 0:
-            return self.steps[0][1]
-        return self.steps[i][1]
+        i = bisect_right(self.steps, t, key=lambda step: step[0]) - 1
+        return self.steps[max(i, 0)][1]
 
     def values_until(self, horizon: int) -> list[float]:
         """Dense capacity values for rounds 0..horizon inclusive."""
-        out = []
-        i = 0
-        cur = self.steps[0][1] if self.steps else math.inf
-        for t in range(horizon + 1):
-            while i < len(self.steps) and self.steps[i][0] <= t:
-                cur = self.steps[i][1]
-                i += 1
-            out.append(cur)
+        out: list[float] = []
+        ends = [fr for fr, _ in self.steps[1:]] + [horizon + 1]
+        for (_, value), end in zip(self.steps, ends):
+            out += [value] * (min(end, horizon + 1) - len(out))
         return out
 
     @staticmethod

@@ -9,9 +9,11 @@ rounds with an identical active set collapse to the binding
 (minimum-capacity) row, which keeps the LP tiny regardless of horizon
 length.
 
-``solve_opt`` hands the rows to HiGHS as a sparse 0/1 matrix. The binding
-constraints are reported as inclusive round ranges per resource, one per
-run of binding segments, so their size does not grow with the horizon.
+``solve_opt`` hands the rows to HiGHS as a sparse 0/1 matrix and sums each
+segment's load under the answer once. Those sums are checked against the
+capacities, with a slack relative to each, and give the binding
+constraints: inclusive round ranges per resource, one per run of binding
+segments, so their size does not grow with the horizon.
 
 Only ``_highs``, the one call into HiGHS, and the worker that runs it
 import numpy and scipy. Inside ``with lp_worker():`` that call runs in a
@@ -30,8 +32,6 @@ from pathlib import Path
 
 from ._fork import forked
 from .model import Scenario, crossings, require_valid
-
-FEASIBILITY_ATOL = 1e-9
 
 
 class OptimumError(RuntimeError):
@@ -186,18 +186,16 @@ def _weights(scenario: Scenario) -> list[float]:
 
 
 def _tight_ranges(
-    scenario: Scenario, segments: list[_Segment], rates: dict[str, float]
+    segments: list[_Segment], loads: list[float]
 ) -> tuple[tuple[str, int, int], ...]:
-    """Inclusive (resource, first, last) round ranges where capacity binds.
+    """Inclusive (resource, first, last) round ranges where ``loads`` meet capacity.
 
     Adjacent binding segments of one resource merge into one range.
     """
-    conns = scenario.connections
     ranges: list[tuple[str, int, int]] = []
-    for seg in segments:
+    for seg, load in zip(segments, loads):
         if math.isinf(seg.cap):
             continue
-        load = math.fsum(rates[conns[k].id] for k in seg.active)
         if not load >= seg.cap - 1e-7 * max(1.0, seg.cap):
             continue
         if ranges and ranges[-1][0] == seg.resource_id and ranges[-1][2] == seg.lo - 1:
@@ -221,7 +219,7 @@ def solve_opt(scenario: Scenario) -> OptimumSolution:
     var_of = [k for k, w in enumerate(weights) if w > 0]
     rates = {c.id: 0.0 for c in conns}
     if not var_of:
-        return OptimumSolution(rates, 0.0, _tight_ranges(scenario, segments, rates))
+        return OptimumSolution(rates, 0.0, _tight_ranges(segments, [0.0] * len(segments)))
 
     col = {k: j for j, k in enumerate(var_of)}
     rows: dict[tuple[int, ...], float] = {}
@@ -257,15 +255,17 @@ def solve_opt(scenario: Scenario) -> OptimumSolution:
 
     for k in var_of:
         rates[conns[k].id] = max(0.0, x[col[k]])
-    for seg in segments:
-        load = math.fsum(rates[conns[k].id] for k in seg.active)
-        if load > seg.cap + FEASIBILITY_ATOL:
+    loads = [math.fsum(rates[conns[k].id] for k in seg.active) for seg in segments]
+    for seg, load in zip(segments, loads):
+        # rounding may overshoot a capacity by a few ULPs, so the slack is
+        # relative to the capacity and the check does not depend on its unit
+        if load - seg.cap > max(4 * math.ulp(seg.cap), 1e-12 * seg.cap):
             raise OptimumError(
                 f"infeasible LP answer at {seg.resource_id!r} rounds "
                 f"[{seg.lo},{seg.hi}): load {load} > cap {seg.cap}"
             )
     value = math.fsum(weights[k] * rates[conns[k].id] for k in range(len(conns)))
-    return OptimumSolution(rates, value, _tight_ranges(scenario, segments, rates))
+    return OptimumSolution(rates, value, _tight_ranges(segments, loads))
 
 
 def solution_to_dict(solution: OptimumSolution) -> dict:

@@ -74,4 +74,5 @@ def brute_force_opt(scenario: Scenario, resolution: float) -> OptimumSolution:
     for k, c in enumerate(conns):
         rates[c.id] = float(axes[k][best_idx[k]])
     value = math.fsum(weights[k] * rates[conns[k].id] for k in range(n))
-    return OptimumSolution(rates, value, _tight_ranges(scenario, segments, rates))
+    loads = [math.fsum(rates[conns[k].id] for k in seg.active) for seg in segments]
+    return OptimumSolution(rates, value, _tight_ranges(segments, loads))

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from mimdsim.kernel import RunTrace
+from mimdsim.kernel import _PATH_COLUMNS, _RESOURCE_COLUMNS, RunTrace, _csv_chunks
 from mimdsim.model import (
     AdversarialFairLoss,
     CapacityTimeline,
@@ -29,6 +29,17 @@ def no_leaked_child_processes():
     """Fail the test that leaves a child process behind, running or unreaped."""
     yield
     assert_no_child_processes()
+
+
+def path_csv(trace: RunTrace, path_id: str) -> str:
+    """The text ``export_trace`` writes to ``path_<path_id>.csv``."""
+    return "".join(_csv_chunks(trace.paths[path_id], _PATH_COLUMNS, trace.horizon + 1))
+
+
+def resource_csv(trace: RunTrace, resource_id: str) -> str:
+    """The text ``export_trace`` writes to ``resource_<resource_id>.csv``."""
+    return "".join(_csv_chunks(trace.resources[resource_id], _RESOURCE_COLUMNS,
+                               trace.horizon + 1))
 
 
 def constant_resource(rid: str, cap: float) -> ResourceSpec:

@@ -5,7 +5,7 @@ guards, ``Cohort`` objects moving through nested ``pending``/``arrivals``
 queues, an O(R^2) topological sort, per-event ``LossEvent`` retention and
 the old ``allocate_loss`` with its budget-overflow branch. Its code is kept
 as it was so ``mimdsim.kernel.run`` can be checked against it differentially;
-its traces export with ``mimdsim.kernel.path_csv``/``resource_csv``.
+its traces export with ``conftest.path_csv``/``resource_csv``.
 """
 
 from __future__ import annotations

@@ -17,6 +17,8 @@ from conftest import (
     constant_resource,
     grid_resolution,
     lp_instance,
+    path_csv,
+    resource_csv,
     scenario_suite,
     sent_ceiling_slack,
     simple_conn,
@@ -25,7 +27,7 @@ from conftest import (
 from mimdsim import audit
 from mimdsim.audit import competitive_ratio, theorem_parameters
 from mimdsim.audit import bandwidth_test
-from mimdsim.kernel import path_csv, resource_csv, run
+from mimdsim.kernel import run
 from mimdsim.model import (
     AdversarialFairLoss,
     CapacityTimeline,

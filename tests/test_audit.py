@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     constant_resource,
+    path_csv,
     random_scenario,
     sent_ceiling_slack,
     simple_conn,
@@ -22,7 +23,7 @@ from mimdsim.audit import (
     summary_line,
     theorem_parameters,
 )
-from mimdsim.kernel import path_csv, run
+from mimdsim.kernel import run
 from mimdsim.model import AdversarialFairLoss, ProportionalLoss, Scenario
 from mimdsim.optimum import OptimumSolution, solve_opt
 from oracle_audit import reference_fields

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import runpy
@@ -112,6 +113,21 @@ def test_rate_overflow_exits_3_and_names_the_path(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", "error: path 'flow' round 1751: send rate overflowed to inf\n"
     )
+
+
+def test_adversarial_split_past_1e154_exits_0_and_conserves_loss(tmp_path):
+    doc = json.loads(SINGLE.read_text())
+    doc["resources"][0]["capacity"] = [{"from_round": 0, "value": 1e160}]
+    flow = doc["connections"][0]
+    flow["start_rate"] = 1e160
+    doc["connections"].append({**flow, "id": "other"})
+    doc["loss_policy"] = {"kind": "adversarial_fair", "seed": 1, "target_path": "flow"}
+    sc = tmp_path / "huge.json"
+    sc.write_text(json.dumps(doc))
+    assert main(["--scenario", str(sc), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "audit.json").read_text())
+    assert report["total_lost_paths"] > 0
+    assert math.isclose(report["total_lost_paths"], report["total_lost_resources"], rel_tol=1e-9)
 
 
 def test_an_id_with_a_trailing_newline_exits_2_before_anything_is_written(tmp_path, capsys):

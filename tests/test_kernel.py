@@ -13,20 +13,16 @@ import pytest
 from conftest import (
     assert_no_child_processes,
     constant_resource,
+    path_csv,
     random_scenario,
+    resource_csv,
     simple_conn,
     single_link_scenario,
     step_resource,
 )
 from mimdsim import kernel, protocol
 from mimdsim.cli import main
-from mimdsim.kernel import (
-    KernelError,
-    allocate_loss,
-    path_csv,
-    resource_csv,
-    run,
-)
+from mimdsim.kernel import KernelError, allocate_loss, run
 from mimdsim.model import (
     AdversarialFairLoss,
     ProportionalLoss,
@@ -218,6 +214,25 @@ def test_rate_overflow_error_names_the_path_and_round():
     sc = single_link_scenario(cap=math.inf, duration=2000, alpha=0.5, beta=0.9, start_rate=1.0)
     with pytest.raises(ProtocolError, match=r"^path 'p0' round 1751: send rate overflowed to inf$"):
         run(sc)
+
+
+def _two_paths_one_link(scale: float) -> Scenario:
+    return Scenario(
+        (constant_resource("link", scale),),
+        (simple_conn("a", ("link",), start_rate=scale),
+         simple_conn("b", ("link",), start_rate=scale)),
+        0.1,
+        AdversarialFairLoss(seed=1, target_path="a"),
+    )
+
+
+def test_adversarial_split_survives_products_past_the_float_range():
+    # at 1e160, need * size overflows before the division by the total weight
+    small, big = run(_two_paths_one_link(1.0)), run(_two_paths_one_link(1e160))
+    assert big.resources["link"].lost[0] == 1e160
+    for pid in ("a", "b"):
+        for want, got in zip(small.paths[pid].lost, big.paths[pid].lost):
+            assert math.isclose(got, want * 1e160, rel_tol=1e-12)
 
 
 def test_congested_only_discard_property():

@@ -8,8 +8,15 @@ import string
 from dataclasses import replace
 
 import oracle_kernel
-from conftest import constant_resource, random_scenario, simple_conn, step_resource
-from mimdsim.kernel import _tiebreak_order, allocate_loss, path_csv, resource_csv, run
+from conftest import (
+    constant_resource,
+    path_csv,
+    random_scenario,
+    resource_csv,
+    simple_conn,
+    step_resource,
+)
+from mimdsim.kernel import _tiebreak_order, allocate_loss, run
 from mimdsim.model import AdversarialFairLoss, ProportionalLoss, Scenario
 
 

@@ -168,6 +168,18 @@ def test_capacity_timeline_steps_and_tail():
     assert cap.values_until(7) == [5, 5, 5, 1, 1, 1, 8, 8]
 
 
+def test_capacity_timelines_agree_with_a_per_round_scan_at_every_horizon():
+    rng = random.Random(17)
+    for _ in range(200):
+        rounds = [0] + sorted(rng.sample(range(1, 30), rng.randint(0, 5)))
+        cap = CapacityTimeline(tuple((fr, rng.choice([0.0, math.inf, rng.random()]))
+                                     for fr in rounds))
+        want = [[v for fr, v in cap.steps if fr <= t][-1] for t in range(40)]
+        assert [cap.at(t) for t in range(40)] == want
+        for horizon in range(-1, 40):
+            assert cap.values_until(horizon) == want[:horizon + 1]
+
+
 def test_capacity_must_start_at_round_zero_and_increase():
     sc = Scenario(
         resources=(step_resource("a", [(2, 5.0)]),),

@@ -1,0 +1,115 @@
+"""The fluid model has no packet unit: scaling every capacity and start rate
+by a power of two scales every rate, receipt and loss by exactly that factor.
+
+The kernel keeps this bit for bit. The LP answer keeps it up to HiGHS's
+absolute tolerances, and its feasibility check must not depend on the unit:
+a valid large-scale scenario is never rejected for a float artefact, and a
+small-scale answer above the optimum is never accepted.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import random_scenario
+from mimdsim import optimum
+from mimdsim.kernel import run
+from mimdsim.model import (
+    AdversarialFairLoss,
+    CapacityTimeline,
+    ProportionalLoss,
+    Scenario,
+)
+from mimdsim.optimum import OptimumError, solve_opt
+
+SEEDS = st.integers(0, 2**32 - 1)
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def scaled(scenario: Scenario, factor: float) -> Scenario:
+    """Every capacity and start rate of ``scenario`` times ``factor``."""
+    return replace(
+        scenario,
+        resources=tuple(
+            replace(r, capacity=CapacityTimeline(tuple((fr, v * factor)
+                                                       for fr, v in r.capacity.steps)))
+            for r in scenario.resources
+        ),
+        connections=tuple(replace(c, start_rate=c.start_rate * factor)
+                          for c in scenario.connections),
+    )
+
+
+@PROPERTY
+@given(seed=SEEDS, k=st.integers(-40, 40))
+def test_kernel_traces_scale_exactly_under_both_policies(seed, k):
+    base = random_scenario(random.Random(seed))
+    factor = 2.0**k
+    for policy in (ProportionalLoss(), AdversarialFairLoss(seed, base.connections[0].id)):
+        sc = replace(base, loss_policy=policy)
+        want, got = run(sc), run(scaled(sc, factor))
+        for pid, rec in want.paths.items():
+            for column in ("sent", "rcvd", "lost"):
+                assert list(getattr(got.paths[pid], column)) == [
+                    v * factor for v in getattr(rec, column)], (pid, column)
+            assert got.paths[pid].lsr == rec.lsr, pid
+        for rid, led in want.resources.items():
+            for column in ("into", "lost", "cap"):
+                assert list(getattr(got.resources[rid], column)) == [
+                    v * factor for v in getattr(led, column)], (rid, column)
+
+
+@PROPERTY
+@given(seed=SEEDS, k=st.integers(0, 40))
+@example(seed=45, k=30)   # a load 1 ULP over its capacity, rejected by an absolute slack
+def test_a_scaled_up_lp_solves_whenever_the_unscaled_one_does(seed, k):
+    sc = random_scenario(random.Random(seed))
+    try:
+        solve_opt(sc)
+    except OptimumError:
+        return
+    solve_opt(scaled(sc, 2.0**k))
+
+
+@PROPERTY
+@given(seed=SEEDS, k=st.integers(-40, -1))
+@example(seed=0, k=-40)   # 5.9x the optimum, accepted by an absolute slack
+def test_a_scaled_down_lp_is_rejected_or_never_above_the_optimum(seed, k):
+    # The check bounds the answer from above only: HiGHS's absolute
+    # optimality tolerance may leave a tiny LP's feasible answer below the
+    # optimum, which no feasibility check can see.
+    sc = random_scenario(random.Random(seed))
+    try:
+        want = solve_opt(sc).opt_value
+    except OptimumError:
+        return
+    try:
+        got = solve_opt(scaled(sc, 2.0**k)).opt_value / 2.0**k
+    except OptimumError as exc:
+        assert "infeasible LP answer" in str(exc)
+        return
+    assert got <= want * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("k", [-20, 0, 20, 40])
+def test_loads_a_few_ulps_over_pass_and_1e_11_over_fail_at_any_scale(k, monkeypatch):
+    sc = scaled(random_scenario(random.Random(3)), 2.0**k)
+    assert solve_opt(sc).tight_constraints
+    real = optimum._solve_lp
+
+    def overshoot(factor):
+        def solve(*args):
+            status, message, x = real(*args)
+            return status, message, [v * factor for v in x]
+        return solve
+
+    monkeypatch.setattr(optimum, "_solve_lp", overshoot(1 + 2**-52))
+    solve_opt(sc)
+    monkeypatch.setattr(optimum, "_solve_lp", overshoot(1 + 1e-11))
+    with pytest.raises(OptimumError, match="infeasible LP answer"):
+        solve_opt(sc)
