@@ -18,7 +18,6 @@ from . import audit, kernel, optimum
 from .audit import AuditError, BandwidthTestError, theorem_parameters
 from .kernel import KernelError
 from .model import (
-    AdversarialFairLoss,
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
@@ -50,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="simulate",
         help="what to run (default: simulate)",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the adversarial loss policy seed")
     parser.add_argument("--sweep-epsilon", default=None,
                         help="comma-separated eps values (simulate mode only)")
     parser.add_argument("--sweep-duration", default=None,
@@ -71,14 +68,12 @@ def _parse_list(text: str | None, flag: str) -> list[float] | None:
     return values
 
 
-def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
+def load_scenario(path: str | Path) -> Scenario:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read scenario file: {exc}") from exc
     scenario = parse_scenario(text)
-    if seed is not None and isinstance(scenario.loss_policy, AdversarialFairLoss):
-        scenario = replace(scenario, loss_policy=replace(scenario.loss_policy, seed=seed))
     require_valid(scenario)
     return scenario
 
@@ -224,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         for dur in sweep_dur or ():
             if not (math.isfinite(dur) and dur > 0.0):
                 raise UsageError(f"--sweep-duration: {dur!r} is not a finite value > 0")
-        scenario = load_scenario(args.scenario, args.seed)
+        scenario = load_scenario(args.scenario)
         zero = [c.id for c in scenario.connections if c.value <= 0]
         if sweep_eps and zero:
             raise UsageError(
@@ -248,7 +243,8 @@ def main(argv: list[str] | None = None) -> int:
             BandwidthTestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (KernelError, OptimumError, AuditError, ProtocolError, OSError) as exc:
+    except (KernelError, OptimumError, AuditError, ProtocolError, OSError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import zlib
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -78,51 +77,35 @@ class RunTrace:
     resources: dict[str, ResourceLedger]
 
 
-def _tiebreak_order(seed: int, round_idx: int, pids: list[str]) -> list[int]:
-    """The positions of ``pids`` sorted by (CRC-32 of
-    ``f"{seed}:{round_idx}:{pid}"``, pid).
-
-    The shared prefix is hashed once per call; chaining each id onto its
-    CRC gives the CRC of the whole key.
-    """
-    prefix = zlib.crc32(f"{seed}:{round_idx}:".encode())
-    return sorted(range(len(pids)),
-                  key=lambda j: (zlib.crc32(pids[j].encode(), prefix), pids[j]))
-
-
 def allocate_loss(
     sizes: list[float],
     into: float,
     excess: float,
-    policy: AdversarialFairLoss,
-    round_idx: int,
-    pids: list[str],
+    target: int | None,
     max_loss: list[float],
 ) -> list[float]:
     """Split an adversarial loss event's ``excess > 0`` among its cohorts.
 
-    ``sizes[j]`` is what path ``pids[j]`` put into the event, ``into`` their
-    sum and ``max_loss[j]`` the largest absolute loss that path may absorb
-    here. Returns the losses by position, with 0 <= loss_j <= sizes[j]: the
-    target absorbs as much as its budget allows, the rest is spread
-    proportionally over the others within their own budgets. Budgets too
-    small for the excess leave the shortfall unallocated, which ``run``
-    rejects as a conservation breach.
+    ``sizes[j]`` is what the ``j``-th cohort put into the event, ``into``
+    their sum, ``max_loss[j]`` the largest absolute loss its path may absorb
+    here and ``target`` the target path's position (``None`` when it is not
+    in the event). Returns the losses by position, with 0 <= loss_j <=
+    sizes[j]: the target absorbs as much as its budget allows, the rest is
+    spread proportionally over the others within their own budgets, clamping
+    them in position order. Budgets too small for the excess leave the
+    shortfall unallocated, which ``run`` rejects as a conservation breach.
     """
     losses = [0.0] * len(sizes)
     need = excess
-    target = policy.target_path
-    if target in pids:
-        j = pids.index(target)
-        take = min(sizes[j], max_loss[j], need)
+    if target is not None:
+        take = min(sizes[target], max_loss[target], need)
         if take > 0:
-            losses[j] = take
+            losses[target] = take
             need -= take
 
-    others = [j for j in _tiebreak_order(policy.seed, round_idx, pids) if pids[j] != target]
     caps = [min(c, b) for c, b in zip(sizes, max_loss)]
-    active = [j for j in others if caps[j] > 0]
-    tol = 1e-15 * max(into, 1.0)
+    active = [j for j, cap in enumerate(caps) if j != target and cap > 0]
+    tol = 1e-15 * into
     while need > tol and active:
         total_w = math.fsum(sizes[j] for j in active)
         if total_w <= 0:
@@ -146,7 +129,7 @@ def allocate_loss(
 def run(scenario: Scenario) -> RunTrace:
     """Execute the scenario through its horizon and return the full trace.
 
-    Deterministic given the scenario (including any policy seed).
+    Deterministic given the scenario.
     """
     require_valid(scenario)
     conns = scenario.connections
@@ -176,6 +159,7 @@ def run(scenario: Scenario) -> RunTrace:
 
     policy = scenario.loss_policy
     adversarial = isinstance(policy, AdversarialFairLoss)
+    target_k = ids.index(policy.target_path) if adversarial else -1
     budget_scale = 1.0 + scenario.epsilon
     frac_lost = [0.0] * len(conns)   # running sum of per-hop loss / cohort size
     frac_seen = [0.0] * len(conns)   # running sum of traversed resource loss ratios
@@ -203,7 +187,11 @@ def run(scenario: Scenario) -> RunTrace:
             if not cohorts:
                 continue
             sizes = [inflight[k][s] for k, s in cohorts]
-            into = math.fsum(sizes)
+            try:
+                into = math.fsum(sizes)
+            except OverflowError:
+                raise protocol.ProtocolError(
+                    f"resource {ledger.resource_id!r} round {t}: load overflowed to inf") from None
             ledger.into[t] = into
             excess = into - ledger.cap[t]
             if not (excess > 0 and into > 0):
@@ -220,8 +208,8 @@ def run(scenario: Scenario) -> RunTrace:
                 max_loss = [max(0.0, (budget_scale * (frac_seen[k] + rho) - frac_lost[k])
                                 * records[k].sent[s])
                             for k, s in cohorts]
-                losses = allocate_loss(sizes, into, excess, policy, t,
-                                       [ids[k] for k, _ in cohorts], max_loss)
+                target = next((j for j, (k, _) in enumerate(cohorts) if k == target_k), None)
+                losses = allocate_loss(sizes, into, excess, target, max_loss)
             else:
                 losses = [c * rho for c in sizes]
             lost_total = math.fsum(losses)
@@ -259,7 +247,10 @@ def run(scenario: Scenario) -> RunTrace:
         resources=dict(zip((r.id for r in scenario.resources), ledgers)),
     )
     # every packet dropped at a resource must surface as an end-to-end loss
-    path_lost, res_lost = loss_totals(trace)
+    try:
+        path_lost, res_lost = loss_totals(trace)
+    except OverflowError:
+        raise protocol.ProtocolError("total loss overflowed to inf") from None
     if abs(path_lost - res_lost) > CONSERVATION_RTOL * max(1.0, path_lost, res_lost):
         raise KernelError(
             f"conservation breach: paths lost {path_lost}, resources lost {res_lost}"

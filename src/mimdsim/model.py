@@ -12,7 +12,7 @@ import json
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
@@ -146,8 +146,6 @@ class ConnectionSpec:
 class ProportionalLoss:
     """Each contributor loses the same fraction of what it put in."""
 
-    kind: str = field(default="proportional", init=False)
-
 
 @dataclass(frozen=True)
 class AdversarialFairLoss:
@@ -155,12 +153,11 @@ class AdversarialFairLoss:
 
     The allocator biases discard toward ``target_path`` only while the
     path's cumulative loss fraction stays within (1 + epsilon) times the sum
-    of per-resource loss ratios it traversed; ``seed`` drives tie-breaking.
+    of per-resource loss ratios it traversed; the other paths share the rest
+    proportionally. Nothing in it is random.
     """
 
-    seed: int
     target_path: str
-    kind: str = field(default="adversarial_fair", init=False)
 
 
 LossPolicy = ProportionalLoss | AdversarialFairLoss
@@ -392,12 +389,11 @@ def _policy_from_json(data, location: str) -> LossPolicy:
     if kind == "proportional":
         return ProportionalLoss()
     if kind == "adversarial_fair":
-        if "seed" not in data or "target_path" not in data:
-            raise ScenarioParseError("adversarial_fair needs seed and target_path", location)
-        return AdversarialFairLoss(
-            seed=_int(data["seed"], f"{location}.seed"),
-            target_path=_str(data["target_path"], f"{location}.target_path"),
-        )
+        if "target_path" not in data:
+            raise ScenarioParseError("adversarial_fair needs target_path", location)
+        if "seed" in data:   # accepted from older documents, with no effect
+            _int(data["seed"], f"{location}.seed")
+        return AdversarialFairLoss(_str(data["target_path"], f"{location}.target_path"))
     raise ScenarioParseError(f"unknown loss policy kind {kind!r}", f"{location}.kind")
 
 
@@ -469,8 +465,7 @@ def _cap_value_to_json(v: float):
 def scenario_to_dict(scenario: Scenario) -> dict:
     policy = scenario.loss_policy
     if isinstance(policy, AdversarialFairLoss):
-        policy_doc = {"kind": "adversarial_fair", "seed": policy.seed,
-                      "target_path": policy.target_path}
+        policy_doc = {"kind": "adversarial_fair", "target_path": policy.target_path}
     else:
         policy_doc = {"kind": "proportional"}
     return {

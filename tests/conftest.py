@@ -174,7 +174,8 @@ def random_scenario(rng: random.Random) -> Scenario:
         policy = ProportionalLoss()
     else:
         target = connections[rng.randrange(len(connections))].id
-        policy = AdversarialFairLoss(seed=rng.randrange(2**32), target_path=target)
+        rng.randrange(2**32)   # unused, but drawn so every suite keeps its scenarios
+        policy = AdversarialFairLoss(target)
     return Scenario(
         resources=tuple(resources),
         connections=connections,

@@ -250,11 +250,11 @@ def allocate_loss(
 
     others = sorted(
         (pid for pid in contributions if pid != target),
-        key=lambda pid: (_tiebreak_key(policy.seed, round_idx, pid), pid),
+        key=lambda pid: (_tiebreak_key(ctx.seed, round_idx, pid), pid),
     )
     caps = {pid: min(contributions[pid], budget(pid)) for pid in others}
     active = [pid for pid in others if caps[pid] > 0]
-    tol = 1e-15 * max(into, 1.0)
+    tol = 1e-15 * into
     while need > tol and active:
         total_w = math.fsum(contributions[pid] for pid in active)
         if total_w <= 0:
@@ -280,7 +280,7 @@ def allocate_loss(
     if need > 1e-9 * max(into, 1.0):
         # Budgets cannot absorb the excess (possible only for hand-built
         # contexts); overflow onto contributions so loss stays conserved.
-        for pid in sorted(contributions, key=lambda p: (_tiebreak_key(policy.seed, round_idx, p), p)):
+        for pid in sorted(contributions, key=lambda p: (_tiebreak_key(ctx.seed, round_idx, p), p)):
             room = contributions[pid] - losses[pid]
             take = min(room, need)
             if take > 0:
@@ -409,7 +409,7 @@ def run(scenario: Scenario, *, keep_loss_events: bool = True) -> RunTrace:
                             size = records[pid].sent[co.send_round]
                             room = budget_scale * (frac_seen[pid] + rho) - frac_lost[pid]
                             max_loss[pid] = max(0.0, room * size)
-                        ctx = AdversarialContext(policy.target_path, max_loss, policy.seed)
+                        ctx = AdversarialContext(policy.target_path, max_loss)
                     losses = allocate_loss(contributions, cap, policy, t, ctx)
                     lost_total = math.fsum(losses.values())
                     if abs(lost_total - excess) > CONSERVATION_RTOL * max(into, 1.0):

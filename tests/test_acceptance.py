@@ -274,7 +274,7 @@ def _perf_scenario() -> Scenario:
         resources=resources,
         connections=tuple(conns),
         epsilon=0.1,
-        loss_policy=AdversarialFairLoss(seed=42, target_path="p0"),
+        loss_policy=AdversarialFairLoss(target_path="p0"),
     )
 
 

@@ -128,7 +128,7 @@ def _edge_scenarios() -> list[Scenario]:
         single_link_scenario(cap=0.0, duration=10),
         single_link_scenario(cap=1e6, duration=3, delay=2, start_rate=4.0),
         single_link_scenario(cap=50.0, duration=800,
-                             policy=AdversarialFairLoss(seed=5, target_path="p0")),
+                             policy=AdversarialFairLoss(target_path="p0")),
         with_idle_path,
         Scenario(resources=(constant_resource("link", 5.0),), connections=(), epsilon=0.1),
     ]

@@ -121,7 +121,7 @@ def test_adversarial_split_past_1e154_exits_0_and_conserves_loss(tmp_path):
     flow = doc["connections"][0]
     flow["start_rate"] = 1e160
     doc["connections"].append({**flow, "id": "other"})
-    doc["loss_policy"] = {"kind": "adversarial_fair", "seed": 1, "target_path": "flow"}
+    doc["loss_policy"] = {"kind": "adversarial_fair", "target_path": "flow"}
     sc = tmp_path / "huge.json"
     sc.write_text(json.dumps(doc))
     assert main(["--scenario", str(sc), "--out", str(tmp_path / "o")]) == 0
@@ -419,14 +419,39 @@ def test_bwtest_empty_connections_reports_zero(tmp_path):
     assert json.loads((out / "bandwidth_test.json").read_text())["estimate"] == 0.0
 
 
-def test_seed_override_keeps_runs_deterministic(tmp_path):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    base = ["--scenario", str(SHARED)]
-    assert main(base + ["--out", str(out_a), "--seed", "1"]) == 0
-    assert main(base + ["--out", str(out_b), "--seed", "1"]) == 0
-    assert (out_a / "path_web.csv").read_bytes() == (out_b / "path_web.csv").read_bytes()
-    assert (out_a / "audit.json").read_bytes() == (out_b / "audit.json").read_bytes()
+def test_a_policy_seed_is_accepted_and_changes_nothing(tmp_path, capsys):
+    doc = json.loads(SHARED.read_text())
+    assert "seed" not in doc["loss_policy"]
+    outputs = []
+    for seed in (None, 7, 1):
+        if seed is not None:
+            doc["loss_policy"]["seed"] = seed
+        sc = tmp_path / f"shared_{seed}.json"
+        sc.write_text(json.dumps(doc))
+        out = tmp_path / f"out_{seed}"
+        assert main(["--scenario", str(sc), "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "path_web.csv" in outputs[0] and "audit.json" in outputs[0]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    doc["loss_policy"]["seed"] = "7"
+    sc = tmp_path / "string_seed.json"
+    sc.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["--scenario", str(sc), "--out", str(tmp_path / "bad")]) == 2
+    assert "loss_policy.seed" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_an_audit_total_past_the_largest_float_exits_3(tmp_path, capsys):
+    # the run itself loses nothing, but two received 1e308s do not sum
+    doc = json.loads(SINGLE.read_text())
+    doc["resources"][0]["capacity"] = [{"from_round": 0, "value": "inf"}]
+    doc["connections"][0].update(start_rate=1e308, active=[0, 1], alpha=0.001, beta=0.5)
+    sc = tmp_path / "huge.json"
+    sc.write_text(json.dumps(doc))
+    assert main(["--scenario", str(sc), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: intermediate overflow in fsum\n"
 
 
 def _src_env() -> dict[str, str]:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 import random
-import string
 from dataclasses import replace
+
+import pytest
 
 import oracle_kernel
 from conftest import (
@@ -16,7 +17,8 @@ from conftest import (
     simple_conn,
     step_resource,
 )
-from mimdsim.kernel import _tiebreak_order, allocate_loss, run
+from mimdsim import kernel
+from mimdsim.kernel import CONSERVATION_RTOL, allocate_loss, loss_totals, run
 from mimdsim.model import AdversarialFairLoss, ProportionalLoss, Scenario
 
 
@@ -75,37 +77,30 @@ def test_same_round_chain_exports_identically():
     assert all(max(led.lost) > 0 for led in trace.resources.values())
     assert_identical_exports(sc)
     adversarial = Scenario(sc.resources, sc.connections, sc.epsilon,
-                           AdversarialFairLoss(seed=3, target_path="p1"))
+                           AdversarialFairLoss(target_path="p1"))
     assert_identical_exports(adversarial)
 
 
-def test_chained_tiebreak_order_equals_the_whole_key_crc_order():
-    rng = random.Random(0xC2C)
-    alphabet = string.ascii_letters + string.digits + "_-.é"
-    for _ in range(300):
-        seed = rng.choice([0, 1, 7, rng.randrange(2**31), -rng.randrange(2**31)])
-        round_idx = rng.randrange(200_000)
-        pids = list({"".join(rng.choices(alphabet, k=rng.randint(1, 12)))
-                     for _ in range(rng.randint(1, 30))})
-        want = sorted(range(len(pids)),
-                      key=lambda j: (oracle_kernel._tiebreak_key(seed, round_idx, pids[j]), pids[j]))
-        assert _tiebreak_order(seed, round_idx, pids) == want
-
-
-def test_allocate_loss_splits_as_the_oracle_does_under_covering_budgets():
+def test_allocate_loss_splits_as_the_oracle_does_under_covering_budgets(monkeypatch):
+    # the kernel clamps the other paths in position order; pinning the
+    # oracle's tie-break key to the position gives it the same order, so
+    # even a pass that clamps several paths leaves the same float residue
     rng = random.Random(0xA110C)
     names = [f"p{j}" for j in range(8)]
-    checked = clamped = 0
+    pids: list[str] = []
+    monkeypatch.setattr(oracle_kernel, "_tiebreak_key", lambda seed, r, pid: pids.index(pid))
+    checked = clamped = multi_clamped = 0
     while checked < 600:
-        pids = rng.sample(names, rng.randint(1, 6))
+        pids[:] = rng.sample(names, rng.randint(1, 6))
         sizes = [0.0 if rng.random() < 0.15 else rng.uniform(0.01, 50.0) for _ in pids]
         into = math.fsum(sizes)
         if into <= 0:
             continue
         cap = rng.uniform(0.0, into)
         excess = into - cap
+        seed = rng.randrange(2**32)
         # the target is sometimes not in the event
-        policy = AdversarialFairLoss(seed=rng.randrange(2**32), target_path=rng.choice(names))
+        target = rng.choice(names)
         # from none to four times the proportional share, so that some paths
         # clamp; only budgets that cover the excess are kept
         max_loss = [c * excess / into * rng.choice([0.0, rng.uniform(0.2, 1.0),
@@ -114,10 +109,84 @@ def test_allocate_loss_splits_as_the_oracle_does_under_covering_budgets():
             continue
         checked += 1
         round_idx = rng.randrange(10_000)
-        got = allocate_loss(sizes, into, excess, policy, round_idx, pids, max_loss)
-        ctx = oracle_kernel.AdversarialContext(policy.target_path, dict(zip(pids, max_loss)),
-                                               policy.seed)
-        want = oracle_kernel.allocate_loss(dict(zip(pids, sizes)), cap, policy, round_idx, ctx)
+        position = pids.index(target) if target in pids else None
+        got = allocate_loss(sizes, into, excess, position, max_loss)
+        ctx = oracle_kernel.AdversarialContext(target, dict(zip(pids, max_loss)), seed)
+        want = oracle_kernel.allocate_loss(dict(zip(pids, sizes)), cap,
+                                           AdversarialFairLoss(target), round_idx, ctx)
         assert got == [want[pid] for pid in pids]
-        clamped += any(0 < loss == min(c, b) for c, b, loss in zip(sizes, max_loss, got))
+        at_cap = [j for j, (c, b, loss) in enumerate(zip(sizes, max_loss, got))
+                  if 0 < loss == min(c, b)]
+        clamped += bool(at_cap)
+        multi_clamped += len(set(at_cap) - {position}) >= 2
     assert clamped >= 100
+    assert multi_clamped >= 50
+
+
+def _capacity_0_stretch() -> Scenario:
+    """Four paths on r0, which carries nothing in rounds 6-8; p3 reaches it
+    by a same-round hop behind r1, and p1 is the adversarial target."""
+    return Scenario(
+        resources=(
+            step_resource("r0", [(0, 9.0), (6, 0.0), (9, 9.0)]),
+            constant_resource("r1", 5.0),
+        ),
+        connections=(
+            simple_conn("p0", ("r0",), end=19, start_rate=3.0, alpha=0.02, beta=0.2),
+            simple_conn("p1", ("r0",), end=17, delay=1, hop_delays=(1,),
+                        start_rate=2.5, alpha=0.03, beta=0.25),
+            simple_conn("p2", ("r0",), start=2, end=15, delay=2, hop_delays=(0,),
+                        start_rate=4.0, alpha=0.01, beta=0.15),
+            simple_conn("p3", ("r1", "r0"), start=1, end=18, hop_delays=(0, 0),
+                        start_rate=2.0, alpha=0.02, beta=0.3),
+        ),
+        epsilon=0.2,
+        loss_policy=AdversarialFairLoss(target_path="p1"),
+    )
+
+
+def test_a_capacity_0_stretch_clamps_several_paths_in_one_pass(monkeypatch):
+    # at capacity 0 every path's fresh budget covers its cohort, so the
+    # others' shares reach their caps and clamp together
+    sc = _capacity_0_stretch()
+    clamps: list[tuple[list[float], list[float], list[int]]] = []
+    real = kernel.allocate_loss
+
+    def spy(sizes, into, excess, target, max_loss):
+        losses = real(sizes, into, excess, target, max_loss)
+        # the first pass over the other paths, as allocate_loss runs it
+        need = excess - (0.0 if target is None else losses[target])
+        caps = [min(c, b) for c, b in zip(sizes, max_loss)]
+        active = [j for j, cap in enumerate(caps) if j != target and cap > 0]
+        total = math.fsum(sizes[j] for j in active)
+        clamped = [j for j in active if need * sizes[j] / total >= caps[j]]
+        if len(clamped) >= 2:
+            clamps.append((sizes, losses, clamped))
+        return losses
+
+    monkeypatch.setattr(kernel, "allocate_loss", spy)
+    trace = run(sc)
+    assert clamps
+    for sizes, losses, clamped in clamps:
+        assert all(losses[j] == sizes[j] for j in clamped)
+    ledger = trace.resources["r0"]
+    for t in (6, 7, 8):
+        assert ledger.into[t] > 0 and ledger.lost[t] == ledger.into[t]
+    path_lost, res_lost = loss_totals(trace)
+    assert abs(path_lost - res_lost) <= CONSERVATION_RTOL * max(1.0, path_lost, res_lost)
+
+    index = {c.id: k for k, c in enumerate(sc.connections)}
+    monkeypatch.setattr(oracle_kernel, "_tiebreak_key", lambda seed, r, pid: index[pid])
+    assert_identical_exports(sc)
+
+
+@pytest.mark.xfail(strict=True, reason="a pass in which no share reaches its cap by a "
+                   "rounding of need leaves ~1e-16 of each cohort past a capacity-0 resource")
+def test_every_cohort_crossing_a_capacity_0_resource_is_lost_whole():
+    sc = _capacity_0_stretch()
+    trace = run(sc)
+    for c in sc.connections:
+        pre = c.total_delay - c.hop_delays[-1]
+        for s in c.active_window().rounds():
+            if 6 <= s + pre <= 8:
+                assert trace.paths[c.id].rcvd[s + c.total_delay] == 0.0, (c.id, s)

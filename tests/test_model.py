@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -112,7 +113,7 @@ def test_epsilon_and_policy_target_are_checked():
         Scenario(sc.resources, sc.connections, epsilon=1.5)))
     bad_policy = Scenario(
         sc.resources, sc.connections, epsilon=0.2,
-        loss_policy=AdversarialFairLoss(seed=1, target_path="nope"),
+        loss_policy=AdversarialFairLoss(target_path="nope"),
     )
     assert any("target_path" in v.message for v in validate(bad_policy))
 
@@ -207,7 +208,7 @@ def test_json_round_trip_is_structural_identity():
             simple_conn("p1", ("r1",), delay=1, hop_delays=(1,), alpha=0.004, beta=0.08),
         ),
         epsilon=0.25,
-        loss_policy=AdversarialFairLoss(seed=42, target_path="p0"),
+        loss_policy=AdversarialFairLoss(target_path="p0"),
     )
     assert parse_scenario(emit_scenario(sc)) == sc
 
@@ -242,6 +243,22 @@ def test_parse_names_the_offending_field(mutate, needle):
     with pytest.raises(ScenarioParseError) as exc:
         parse_scenario(json.dumps(doc))
     assert needle in str(exc.value)
+
+
+def test_an_adversarial_policy_needs_only_its_target():
+    policy = {"kind": "adversarial_fair", "target_path": "p0"}
+    doc = json.loads(emit_scenario(single_link_scenario(policy=AdversarialFairLoss("p0"))))
+    assert doc["loss_policy"] == policy
+    for seed in (None, 0, 7, -3):
+        doc["loss_policy"] = policy if seed is None else {**policy, "seed": seed}
+        assert parse_scenario(json.dumps(doc)).loss_policy == AdversarialFairLoss("p0")
+    for seed in ("7", 7.0, None, True):
+        doc["loss_policy"] = {**policy, "seed": seed}
+        with pytest.raises(ScenarioParseError, match=r"loss_policy\.seed"):
+            parse_scenario(json.dumps(doc))
+    doc["loss_policy"] = {"kind": "adversarial_fair", "seed": 7}
+    with pytest.raises(ScenarioParseError, match="needs target_path"):
+        parse_scenario(json.dumps(doc))
 
 
 def test_infinite_capacity_round_trips_as_string():

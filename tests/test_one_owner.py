@@ -1,5 +1,6 @@
 """One owner per rule: one fork site, one module that turns hop delays into
-transit rounds, and one that splits loss events."""
+transit rounds, and one that splits loss events; and no seed, since nothing
+in the model is random."""
 
 from __future__ import annotations
 
@@ -43,3 +44,9 @@ def test_loss_events_are_split_in_the_kernel_without_per_event_dicts():
     run = next(node for node in modules["kernel.py"].body
                if isinstance(node, ast.FunctionDef) and node.name == "run")
     assert not [node for node in ast.walk(run) if isinstance(node, ast.DictComp)]
+
+
+def test_no_module_reads_a_seed():
+    readers = sorted(name for name, tree in _modules().items() for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "seed")
+    assert readers == []

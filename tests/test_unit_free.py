@@ -50,7 +50,7 @@ def scaled(scenario: Scenario, factor: float) -> Scenario:
 def test_kernel_traces_scale_exactly_under_both_policies(seed, k):
     base = random_scenario(random.Random(seed))
     factor = 2.0**k
-    for policy in (ProportionalLoss(), AdversarialFairLoss(seed, base.connections[0].id)):
+    for policy in (ProportionalLoss(), AdversarialFairLoss(base.connections[0].id)):
         sc = replace(base, loss_policy=policy)
         want, got = run(sc), run(scaled(sc, factor))
         for pid, rec in want.paths.items():
