@@ -151,9 +151,9 @@ def _simulate_entries(scenario: Scenario, outdir: Path,
 
 def cmd_simulate(entries: list[_Entry]) -> int:
     """Run every entry of ``_simulate_entries``; a sweep's summary goes into
-    the base entry's directory. Every kernel runs (pass 1) while the LP
-    worker imports scipy, before any LP (pass 2); pass 2 also finishes the
-    entries measured before a pass-1 failure."""
+    the base entry's directory. Every kernel runs (pass 1) before any LP
+    (pass 2), so a forked LP worker imports scipy meanwhile; pass 2 also
+    finishes the entries measured before a pass-1 failure."""
     measured: list[audit.AuditReport] = []
     reports: list[audit.AuditReport] = []
     try:
@@ -231,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise UsageError(f"output directory is not writable: {exc}") from exc
-        with optimum.lp_worker():
+        with optimum.lp_worker([variant for variant, _, _ in entries]):
             if args.mode == "simulate":
                 return cmd_simulate(entries)
             if args.mode == "audit":

@@ -9,16 +9,19 @@ rounds with an identical active set collapse to the binding
 (minimum-capacity) row, which keeps the LP tiny regardless of horizon
 length.
 
-``solve_opt`` hands the rows to HiGHS as a sparse 0/1 matrix and sums each
-segment's load under the answer once. Those sums are checked against the
-capacities, with a slack relative to each, and give the binding
-constraints: inclusive round ranges per resource, one per run of binding
-segments, so their size does not grow with the horizon.
+An LP of at most ``EXACT_MAX_COLUMNS`` weighted paths goes to ``_exact``,
+an exact simplex that checks its own certificate, and a larger one to
+HiGHS as a sparse 0/1 matrix. ``solve_opt`` sums each segment's load under
+the answer once. Those sums are checked against the capacities, with a
+slack relative to each, and give the binding constraints: inclusive round
+ranges per resource, one per run of binding segments, so their size does
+not grow with the horizon.
 
 Only ``_highs``, the one call into HiGHS, and the worker that runs it
-import numpy and scipy. Inside ``with lp_worker():`` that call runs in a
-forked worker process, which imports scipy as soon as it starts, beside
-the caller's own work; ``_fork.forked`` owns its fork, kill and reap.
+import numpy and scipy; only ``_exact`` imports fractions. Inside
+``with lp_worker(scenarios):`` that call runs in a forked worker process,
+which imports scipy as soon as it starts, beside the caller's own work;
+``_fork.forked`` owns its fork, kill and reap.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from pathlib import Path
 
 from ._fork import forked
 from .model import Scenario, crossings, require_valid
+
+EXACT_MAX_COLUMNS = 8   # above this many weighted paths, HiGHS solves the LP
 
 
 class OptimumError(RuntimeError):
@@ -71,6 +76,62 @@ def _highs(
     return int(res.status), str(res.message), None if res.x is None else res.x.tolist()
 
 
+def _exact(
+    c_obj: list[float], rows: list[tuple[int, ...]], b_ub: list[float], n: int
+) -> tuple[int, str, list[float] | None]:
+    """``_highs``'s problem and return shape, solved exactly in Fractions.
+
+    A simplex on the condensed m x n tableau (no slack columns) under Bland's
+    rule, which cannot cycle; the origin is feasible since no capacity is
+    negative. Before rounding, the certificate is checked exactly: every
+    row's load is at most its capacity, and the duals satisfy y >= 0,
+    A^T y >= w and b.y == w.x. Each rate is the correctly rounded float of
+    the exact optimum. Raises OptimumError if the certificate fails.
+    """
+    from fractions import Fraction
+
+    m = len(rows)
+    w = [-Fraction(c) for c in c_obj]
+    b = [Fraction(v) for v in b_ub]
+    # the tableau's last row holds the reduced costs, its last column the
+    # basic values; variable j < n is x_j, and n + i is row i's slack
+    t = [[Fraction(j in members) for j in range(n)] + [b[i]] for i, members in enumerate(rows)]
+    t.append([-v for v in w] + [Fraction(0)])
+    basic, nonbasic = list(range(n, n + m)), list(range(n))
+    while True:
+        entering = [j for j in range(n) if t[m][j] < 0]
+        if not entering:
+            break
+        c = min(entering, key=nonbasic.__getitem__)
+        leaving = [i for i in range(m) if t[i][c] > 0]
+        if not leaving:
+            return 3, "unbounded", None
+        r = min(leaving, key=lambda i: (t[i][n] / t[i][c], basic[i]))
+        p = t[r][c]
+        pivot = [v / p for v in t[r]]
+        pivot[c] = 1 / p
+        for i, row in enumerate(t):
+            f = row[c]
+            if i != r and f:
+                for j in range(n + 1):
+                    row[j] -= f * pivot[j]
+                row[c] = -f / p
+        t[r] = pivot
+        basic[r], nonbasic[c] = nonbasic[c], basic[r]
+
+    value = {v: row[n] for v, row in zip(basic, t)}
+    cost = dict(zip(nonbasic, t[m]))   # reduced costs; a slack's is its row's dual
+    x = [value.get(j, Fraction(0)) for j in range(n)]
+    y = [cost.get(n + i, Fraction(0)) for i in range(m)]
+    priced = [sum(yi for members, yi in zip(rows, y) if j in members) for j in range(n)]
+    if not (min(x) >= 0 and min(y) >= 0
+            and all(sum(x[j] for j in members) <= cap for members, cap in zip(rows, b))
+            and all(pj >= wj for pj, wj in zip(priced, w))
+            and sum(bi * yi for bi, yi in zip(b, y)) == sum(wj * xj for wj, xj in zip(w, x))):
+        raise OptimumError("exact LP certificate failed")
+    return 0, "optimal", [float(v) for v in x]
+
+
 _worker = None   # (requests, results) pipes of the open lp_worker, if any
 
 
@@ -97,11 +158,12 @@ def _serve(requests, results) -> None:
 
 
 @contextmanager
-def lp_worker():
+def lp_worker(scenarios: list[Scenario]):
     """Send every ``_highs`` call made inside the block to one forked worker.
 
     The worker is forked through ``_fork.forked``, and starts importing
-    scipy, on entry. On exit its request pipe is closed and it is reaped;
+    scipy, on entry, if some of ``scenarios`` has an LP that goes to HiGHS
+    (``_exact_route``). On exit its request pipe is closed and it is reaped;
     when the block raises, it is killed first. A worker that exits non-zero
     under a clean block raises ``OSError("LP worker failed: ...")``. A worker
     whose parent dies reads EOF and exits. Where the platform has no
@@ -109,7 +171,7 @@ def lp_worker():
     runs no other thread, since the fork copies just the calling one.
     """
     global _worker
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "fork") or all(map(_exact_route, scenarios)):
         yield
         return
     req_r, req_w = os.pipe()
@@ -185,6 +247,11 @@ def _weights(scenario: Scenario) -> list[float]:
     return [c.value * c.duration for c in scenario.connections]
 
 
+def _exact_route(scenario: Scenario) -> bool:
+    """``_exact`` solves LPs of at most EXACT_MAX_COLUMNS weighted paths."""
+    return sum(w > 0 for w in _weights(scenario)) <= EXACT_MAX_COLUMNS
+
+
 def _tight_ranges(
     segments: list[_Segment], loads: list[float]
 ) -> tuple[tuple[str, int, int], ...]:
@@ -208,8 +275,9 @@ def _tight_ranges(
 def solve_opt(scenario: Scenario) -> OptimumSolution:
     """Maximize total weighted throughput over fixed per-path rates.
 
-    Raises UnboundedOptimumError when a positively weighted path traverses
-    no finite capacity. Paths with zero weight are assigned rate 0 (any
+    The LP goes to ``_exact`` or HiGHS as ``_exact_route`` decides. Raises
+    UnboundedOptimumError when a positively weighted path traverses no
+    finite capacity. Paths with zero weight are assigned rate 0 (any
     capacity they would use is better spent elsewhere).
     """
     require_valid(scenario)
@@ -242,7 +310,8 @@ def solve_opt(scenario: Scenario) -> OptimumSolution:
             )
 
     ordered = sorted(rows.items())
-    status, message, x = _solve_lp(
+    solve = _exact if _exact_route(scenario) else _solve_lp
+    status, message, x = solve(
         [-weights[k] for k in var_of],
         [members for members, _ in ordered],
         [cap for _, cap in ordered],

@@ -92,6 +92,21 @@ def test_opt_mode_unbounded_exits_3(tmp_path, capsys):
     assert "unbounded" in capsys.readouterr().err
 
 
+def test_opt_mode_solves_a_finite_capacity_of_1e21(tmp_path, capsys):
+    # HiGHS reads bounds at or above 1e20 as infinite; the exact route has
+    # no such cut-off
+    doc = json.loads(SINGLE.read_text())
+    doc["resources"][0]["capacity"] = [{"from_round": 0, "value": 1e21}]
+    sc = tmp_path / "huge.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["--scenario", str(sc), "--mode", "opt", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "optimum.json").read_text())
+    assert doc["rates"] == {"flow": 1e21}
+    assert doc["opt_value"] == 1e21 * 2000
+
+
 def test_rate_underflow_exits_3_and_names_the_path(tmp_path, capsys):
     doc = json.loads(SINGLE.read_text())
     doc["resources"][0]["capacity"] = [{"from_round": 0, "value": 0.0}]

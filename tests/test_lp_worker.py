@@ -1,20 +1,25 @@
 """The forked LP worker: same answers as in-process, reaped on every path,
-and solver failures in it surface as OptimumError."""
+and solver failures in it surface as OptimumError. It serves only LPs of
+more than ``EXACT_MAX_COLUMNS`` weighted paths, so these tests draw 9-12
+paths; below that no worker is forked at all."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import re
 import signal
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import assert_no_child_processes, lp_instance, random_scenario
+from conftest import assert_no_child_processes, constant_resource, lp_instance
 from mimdsim import optimum
 from mimdsim.cli import main
+from mimdsim.model import emit_scenario
 from mimdsim.optimum import OptimumError, lp_worker, solve_opt
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -34,6 +39,25 @@ def _dying_serve(requests, results):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _wide(rng):
+    """An ``lp_instance`` that HiGHS solves: 9-12 weighted paths."""
+    return lp_instance(rng, n_paths=rng.randint(9, 12))
+
+
+def _wide_file(tmp_path, sc=None):
+    path = tmp_path / "wide.json"
+    path.write_text(emit_scenario(sc or _wide(random.Random(3))))
+    return path
+
+
+def _nine_flows(**fields):
+    """``single_link.json``'s document with its connection copied to 9 paths."""
+    doc = json.loads(SINGLE.read_text())
+    flow = {**doc["connections"][0], **fields}
+    doc["connections"] = [{**flow, "id": f"flow{i}"} for i in range(9)]
+    return doc
+
+
 def _outcome(sc):
     try:
         sol = solve_opt(sc)
@@ -44,23 +68,41 @@ def _outcome(sc):
 
 def test_worker_solutions_equal_in_process_solutions_exactly():
     rng = random.Random(0x1F0)
-    scenarios = [lp_instance(rng) for _ in range(40)] + [random_scenario(rng) for _ in range(40)]
+    scenarios = [_wide(rng) for _ in range(80)]
+    assert not any(map(optimum._exact_route, scenarios))
     want = [_outcome(sc) for sc in scenarios]
-    with lp_worker():
+    with lp_worker(scenarios):
+        assert optimum._worker is not None
         got = [_outcome(sc) for sc in scenarios]
     assert got == want
     assert sum(1 for o in want if len(o) == 3) >= 60
 
 
 def test_worker_is_reaped_after_a_normal_run(tmp_path):
-    assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "o")]) == 0
+    assert main(["--scenario", str(_wide_file(tmp_path)), "--out", str(tmp_path / "o")]) == 0
     assert_no_child_processes()
 
 
+def test_no_worker_is_forked_when_every_lp_is_solved_exactly(monkeypatch, tmp_path):
+    marker = tmp_path / "forked"
+    serve = optimum._serve
+
+    def marking_serve(requests, results):
+        marker.write_text("LP worker started")
+        serve(requests, results)
+
+    monkeypatch.setattr(optimum, "_serve", marking_serve)
+    assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "o")]) == 0
+    assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "s"),
+                 "--sweep-duration", "1,2"]) == 0
+    assert not marker.exists()
+    assert main(["--scenario", str(_wide_file(tmp_path)), "--out", str(tmp_path / "w")]) == 0
+    assert marker.exists()
+
+
 def test_worker_is_reaped_after_a_runtime_failure(tmp_path, capsys):
-    doc = json.loads(SINGLE.read_text())
+    doc = _nine_flows(alpha=0.001, beta=0.99, start_rate=1.0)
     doc["resources"][0]["capacity"] = [{"from_round": 0, "value": 0.0}]
-    doc["connections"][0].update(alpha=0.001, beta=0.99, start_rate=1.0)
     sc = tmp_path / "underflow.json"
     sc.write_text(json.dumps(doc))
     assert main(["--scenario", str(sc), "--out", str(tmp_path / "o")]) == 3
@@ -69,7 +111,7 @@ def test_worker_is_reaped_after_a_runtime_failure(tmp_path, capsys):
 
 
 def test_worker_is_reaped_after_a_validation_failure(tmp_path, capsys):
-    doc = json.loads(SINGLE.read_text())
+    doc = _nine_flows()
     doc["connections"][0]["alpha"] = doc["connections"][0]["beta"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -80,13 +122,14 @@ def test_worker_is_reaped_after_a_validation_failure(tmp_path, capsys):
 
 def test_a_solver_error_in_the_worker_is_an_optimum_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(optimum, "_highs", _failing_highs)
-    sc = lp_instance(random.Random(3))
-    with lp_worker():
+    sc = _wide(random.Random(3))
+    with lp_worker([sc]):
         with pytest.raises(OptimumError, match="highs failed in pid") as info:
             solve_opt(sc)
     assert int(re.search(r"pid (\d+)", str(info.value)).group(1)) != os.getpid()
 
-    assert main(["--scenario", str(SINGLE), "--mode", "opt", "--out", str(tmp_path / "o")]) == 3
+    wide = str(_wide_file(tmp_path, sc))
+    assert main(["--scenario", wide, "--mode", "opt", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: LP worker failed") and "Traceback" not in err
     assert_no_child_processes()
@@ -94,19 +137,20 @@ def test_a_solver_error_in_the_worker_is_an_optimum_error(monkeypatch, tmp_path,
 
 def test_a_worker_that_dies_is_an_optimum_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(optimum, "_highs", _dying_highs)
-    assert main(["--scenario", str(SINGLE), "--out", str(tmp_path / "o")]) == 3
+    assert main(["--scenario", str(_wide_file(tmp_path)), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith("error: LP worker died")
     assert_no_child_processes()
 
 
 def test_a_worker_that_dies_idle_under_a_clean_block_exits_3(monkeypatch, tmp_path, capsys):
-    # with every value 0 the run sends the worker no request, so its death
-    # shows only in its exit status
-    doc = json.loads(SINGLE.read_text())
-    doc["connections"][0]["value"] = 0.0
-    sc = tmp_path / "zero.json"
-    sc.write_text(json.dumps(doc))
+    # with no finite capacity the 9-path LP is unbounded before any solve,
+    # so the run sends the worker no request and its death shows only in
+    # its exit status
+    sc = _wide(random.Random(3))
+    sc = replace(sc, resources=tuple(constant_resource(r.id, math.inf) for r in sc.resources))
     monkeypatch.setattr(optimum, "_serve", _dying_serve)
-    assert main(["--scenario", str(sc), "--mode", "opt", "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err == "error: LP worker failed: exit code -9\n"
+    assert main(["--scenario", str(_wide_file(tmp_path, sc)), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "warning: optimum not computed: unbounded: path 'p0' meets no finite capacity\n"
+        "error: LP worker failed: exit code -9\n")
     assert_no_child_processes()

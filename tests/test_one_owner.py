@@ -1,6 +1,7 @@
 """One owner per rule: one fork site, one module that turns hop delays into
-transit rounds, and one that splits loss events; and no seed, since nothing
-in the model is random."""
+transit rounds, and one that splits loss events; no seed, since nothing in
+the model is random; and the LP libraries load only inside the calls that
+use them."""
 
 from __future__ import annotations
 
@@ -50,3 +51,24 @@ def test_no_module_reads_a_seed():
     readers = sorted(name for name, tree in _modules().items() for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute) and node.attr == "seed")
     assert readers == []
+
+
+def _import_time_nodes(node: ast.AST):
+    """The import statements that run when the module is imported: every one
+    outside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _import_time_nodes(child)
+
+
+def test_no_module_imports_numpy_scipy_or_fractions_at_import_time():
+    found = []
+    for name, tree in _modules().items():
+        for node in _import_time_nodes(tree):
+            roots = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""])
+            found += [(name, r) for r in roots
+                      if r.split(".")[0] in ("numpy", "scipy", "fractions")]
+    assert found == []
