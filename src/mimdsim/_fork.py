@@ -1,4 +1,8 @@
-"""The one fork discipline, shared by the LP worker and the trace export."""
+"""The one fork discipline, shared by every forked process: the LP worker,
+the trace export child, and the child that runs the tail of a sweep's
+pass 1 (``cli._measure_in_two``). A child with results to return, as the
+LP worker and the sweep child have, sends them over a pipe of its own; the
+helper carries only a failure."""
 
 from __future__ import annotations
 

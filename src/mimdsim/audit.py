@@ -211,14 +211,21 @@ def solve_or_none(scenario: Scenario) -> tuple[OptimumSolution | None, str | Non
         return None, str(exc)
 
 
+def equalized(scenario: Scenario) -> Scenario:
+    """``scenario`` with every connection's value set to 1: what
+    ``bandwidth_test`` runs and solves."""
+    return replace(scenario, connections=tuple(replace(c, value=1.0)
+                                               for c in scenario.connections))
+
+
 def bandwidth_test(scenario: Scenario) -> dict:
     """Run to the horizon and report the converged aggregate received rate.
 
     Requires every connection to share one active interval (else
-    BandwidthTestError); values are forced to 1 so the estimate weighs all
-    paths equally. Convergence is declared once the trailing-window mean
-    moves by less than 0.5% across one window, the window being max over
-    paths of (1+delay)/(beta*eps).
+    BandwidthTestError); values are forced to 1 (``equalized``) so the
+    estimate weighs all paths equally. Convergence is declared once the
+    trailing-window mean moves by less than 0.5% across one window, the
+    window being max over paths of (1+delay)/(beta*eps).
     """
     if not scenario.connections:
         return {"estimate": 0.0, "opt_rate": 0.0, "opt_value": 0.0,
@@ -226,20 +233,17 @@ def bandwidth_test(scenario: Scenario) -> dict:
     intervals = {(c.start, c.end) for c in scenario.connections}
     if len(intervals) != 1:
         raise BandwidthTestError("bandwidth test needs all connections on one active interval")
-    equalized = replace(
-        scenario,
-        connections=tuple(replace(c, value=1.0) for c in scenario.connections),
-    )
-    trace = kernel.run(equalized)
+    scenario = equalized(scenario)
+    trace = kernel.run(scenario)
     start, end = next(iter(intervals))
 
     window = max(
-        math.ceil((1 + c.total_delay) / (c.beta * equalized.epsilon))
-        for c in equalized.connections
+        math.ceil((1 + c.total_delay) / (c.beta * scenario.epsilon))
+        for c in scenario.connections
     )
     window = max(1, window)
     agg = [0.0] * (trace.horizon + 1)
-    for c in equalized.connections:
+    for c in scenario.connections:
         rec = trace.paths[c.id]
         for t in c.shifted_window().rounds():
             agg[t] += rec.rcvd[t]
@@ -257,7 +261,7 @@ def bandwidth_test(scenario: Scenario) -> dict:
             converged_at = t
             break
     estimate = window_mean(converged_at if converged_at is not None else scan_last)
-    solution, _ = solve_or_none(equalized)
+    solution, _ = solve_or_none(scenario)
     # the comparable optimum is the best aggregate per-round rate, not the
     # whole-window objective
     opt_rate = None if solution is None else math.fsum(solution.rates.values())

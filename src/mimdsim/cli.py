@@ -10,11 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
+from itertools import accumulate
 from pathlib import Path
 
 from . import audit, kernel, optimum
+from ._fork import forked
 from .audit import AuditError, BandwidthTestError, theorem_parameters
 from .kernel import KernelError
 from .model import (
@@ -78,11 +82,12 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario
 
 
-def _measure(scenario: Scenario, outdir: Path) -> audit.AuditReport:
-    """Pass 1 of one entry: the trace CSVs and every audit field the trace
-    gives; the trace is dropped on return."""
+def _measure(scenario: Scenario, outdir: Path, split: bool) -> audit.AuditReport:
+    """Pass 1 of one entry: the trace CSVs (``split`` as in
+    ``kernel.export_trace``) and every audit field the trace gives; the
+    trace is dropped on return."""
     trace = kernel.run(scenario)
-    kernel.export_trace(trace, outdir)
+    kernel.export_trace(trace, outdir, split=split)
     return audit.competitive_ratio(trace, None)
 
 
@@ -149,16 +154,89 @@ def _simulate_entries(scenario: Scenario, outdir: Path,
     return entries
 
 
+def _measure_in_two(entries: list[_Entry], measured: list[audit.AuditReport]) -> None:
+    """Pass 1 of a sweep, in this process and one child forked through
+    ``_fork.forked``, appending each entry's report to ``measured`` in entry
+    order.
+
+    The entries are cut where the running sum of their sizes (rows times
+    CSV columns) first reaches half, leaving the child at least one; this
+    process measures the head, the child the tail, each entry's CSVs
+    written whole by the process that ran its kernel. The child sends back
+    its reports, pickled, and at its first failing entry that entry's
+    exception, and stops; that exception is raised here once the reports
+    before it are in ``measured``. If the head fails, the child is killed,
+    and the CSVs of the tail and each of its directories left empty are
+    removed, so the files left are those of a one-process run.
+    """
+    import pickle
+
+    sizes = [(variant.horizon + 1) * sum(len(columns) for _, columns
+                                         in kernel.csv_files(variant, sub))
+             for variant, sub, _ in entries]
+    total = sum(sizes)
+    cut = min(next(i for i, so_far in enumerate(accumulate(sizes), 1) if 2 * so_far >= total),
+              len(entries) - 1)
+    head, tail = entries[:cut], entries[cut:]
+    read_fd, write_fd = os.pipe()
+
+    def measure_tail() -> None:
+        os.close(read_fd)
+        done: list[audit.AuditReport] = []
+        failure = None
+        try:
+            for variant, sub, _ in tail:
+                done.append(_measure(variant, sub, False))
+        except Exception as exc:
+            failure = exc
+        with open(write_fd, "wb") as replies:
+            pickle.dump((done, failure), replies)
+
+    head_done = False
+    try:
+        with forked(measure_tail, "sweep child"):
+            os.close(write_fd)
+            with open(read_fd, "rb") as replies:
+                for variant, sub, _ in head:
+                    measured.append(_measure(variant, sub, False))
+                head_done = True
+                reply = replies.read()
+    except BaseException:
+        if not head_done:
+            for variant, sub, _ in tail:
+                with suppress(OSError):
+                    for path, _ in kernel.csv_files(variant, sub):
+                        path.unlink(missing_ok=True)
+                    sub.rmdir()
+        raise
+    done, failure = pickle.loads(reply)
+    measured += done
+    if failure is not None:
+        raise failure
+
+
 def cmd_simulate(entries: list[_Entry]) -> int:
     """Run every entry of ``_simulate_entries``; a sweep's summary goes into
-    the base entry's directory. Every kernel runs (pass 1) before any LP
-    (pass 2), so a forked LP worker imports scipy meanwhile; pass 2 also
-    finishes the entries measured before a pass-1 failure."""
+    the base entry's directory.
+
+    Pass 1 runs each entry's kernel, CSVs and trace audit; in a sweep it is
+    split over this process and one forked child (``_measure_in_two``)
+    where the platform has ``fork``, and otherwise runs here, in entry
+    order. Pass 2, here and in entry order, solves each LP and writes
+    ``optimum.json`` and ``audit.json``; it starts after every kernel, so a
+    forked LP worker imports scipy meanwhile, and it also finishes the
+    entries measured before a pass-1 failure. Either way stdout, stderr,
+    the exit code and the files left are those of running each entry in
+    turn, except that a pass-2 failure leaves later entries their CSVs.
+    """
     measured: list[audit.AuditReport] = []
     reports: list[audit.AuditReport] = []
     try:
-        for variant, sub, _ in entries:
-            measured.append(_measure(variant, sub))
+        if len(entries) > 1 and hasattr(os, "fork"):
+            _measure_in_two(entries, measured)
+        else:
+            for variant, sub, _ in entries:
+                measured.append(_measure(variant, sub, len(entries) == 1))
     finally:
         for (variant, sub, _), report in zip(entries, measured):
             reports.append(_finish(variant, sub, report))
@@ -231,7 +309,10 @@ def main(argv: list[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise UsageError(f"output directory is not writable: {exc}") from exc
-        with optimum.lp_worker([variant for variant, _, _ in entries]):
+        # bwtest solves the equalized copy, so its LP decides on the worker
+        lp_scenarios = ([audit.equalized(scenario)] if args.mode == "bwtest"
+                        else [variant for variant, _, _ in entries])
+        with optimum.lp_worker(lp_scenarios):
             if args.mode == "simulate":
                 return cmd_simulate(entries)
             if args.mode == "audit":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -40,6 +41,8 @@ from .model import (
 )
 
 CONSERVATION_RTOL = 1e-9
+_NORMAL_MIN = sys.float_info.min
+_QUANTUM = math.ulp(0.0)   # the spacing of the subnormal floats
 
 
 class KernelError(RuntimeError):
@@ -110,8 +113,9 @@ def allocate_loss(
         total_w = math.fsum(sizes[j] for j in active)
         if total_w <= 0:
             break
-        # need * size overflows past about 1e154; only there divide first
-        shares = [part / total_w if math.isfinite(part := need * sizes[j])
+        # need * size leaves the normal floats past about 1e154 and below
+        # about 1e-154; only there divide first
+        shares = [part / total_w if _NORMAL_MIN <= (part := need * sizes[j]) < math.inf
                   else need * (sizes[j] / total_w) for j in active]
         clamped = [j for j, share in zip(active, shares) if share >= caps[j] - losses[j]]
         if clamped:
@@ -213,7 +217,8 @@ def run(scenario: Scenario) -> RunTrace:
             else:
                 losses = [c * rho for c in sizes]
             lost_total = math.fsum(losses)
-            if abs(lost_total - excess) > CONSERVATION_RTOL * max(into, 1.0):
+            # each share may round away up to half a quantum of the excess
+            if abs(lost_total - excess) > CONSERVATION_RTOL * into + _QUANTUM * len(sizes):
                 raise KernelError(
                     f"loss event at {ledger.resource_id!r} round {t} dropped {lost_total}, "
                     f"excess was {excess}"
@@ -246,12 +251,15 @@ def run(scenario: Scenario) -> RunTrace:
         paths=dict(zip(ids, records)),
         resources=dict(zip((r.id for r in scenario.resources), ledgers)),
     )
-    # every packet dropped at a resource must surface as an end-to-end loss
+    # every packet dropped at a resource must surface as an end-to-end loss,
+    # up to rounding relative to the load the losses were taken from (not to
+    # the loss totals: a tiny loss is a difference of two large rates)
     try:
         path_lost, res_lost = loss_totals(trace)
     except OverflowError:
         raise protocol.ProtocolError("total loss overflowed to inf") from None
-    if abs(path_lost - res_lost) > CONSERVATION_RTOL * max(1.0, path_lost, res_lost):
+    carried = sum(sum(led.into) for led in ledgers)   # inf past the largest float
+    if abs(path_lost - res_lost) > CONSERVATION_RTOL * carried:
         raise KernelError(
             f"conservation breach: paths lost {path_lost}, resources lost {res_lost}"
         )
@@ -273,7 +281,7 @@ def loss_totals(trace: RunTrace) -> tuple[float, float]:
 # Trace export: per-path CSV `round,sent,rcvd,lost,lsr` and per-resource CSV
 # `round,into,lost,cap`, column order fixed. Files are written in chunks of
 # at most _CSV_CHUNK_ROWS rows, so export memory does not grow with the horizon.
-# The export is almost all float repr, so export_trace splits the files
+# The export is almost all float repr, so export_trace can split the files
 # between the calling process and one forked child, which reads the trace
 # through the fork's copy-on-write pages: nothing is pickled or piped, and
 # each file's bytes do not depend on which process writes it.
@@ -284,6 +292,15 @@ _PATH_COLUMNS = ("sent", "rcvd", "lost", "lsr")
 _RESOURCE_COLUMNS = ("into", "lost", "cap")
 
 _CsvFile = tuple[Path, PathRecord | ResourceLedger, tuple[str, ...]]
+
+
+def csv_files(scenario: Scenario, outdir: Path) -> list[tuple[Path, tuple[str, ...]]]:
+    """(file, value columns) of every CSV ``export_trace`` writes for a run of
+    ``scenario`` into ``outdir``, paths in declaration order, then resources.
+    Every file has ``scenario.horizon + 1`` rows."""
+    return ([(outdir / f"path_{c.id}.csv", _PATH_COLUMNS) for c in scenario.connections]
+            + [(outdir / f"resource_{r.id}.csv", _RESOURCE_COLUMNS)
+               for r in scenario.resources])
 
 
 def _csv_chunks(record: PathRecord | ResourceLedger, columns: tuple[str, ...],
@@ -326,32 +343,30 @@ def _split_shares(files: list[_CsvFile]) -> tuple[list[_CsvFile], list[_CsvFile]
             [e for e, s in zip(files, smaller) if s])
 
 
-def export_trace(trace: RunTrace, outdir: str | Path) -> list[Path]:
-    """Write all per-path and per-resource CSVs; returns the paths written,
-    paths in declaration order, then resources.
+def export_trace(trace: RunTrace, outdir: str | Path, split: bool = True) -> list[Path]:
+    """Write all per-path and per-resource CSVs (``csv_files``); returns the
+    paths written, in that order.
 
-    With two files or more, one child forked through ``_fork.forked``
-    writes about half of them while this process writes the rest, and the
-    child is reaped before this returns, on every path: if this process's
-    share raises, the child is killed first; if the child's share fails,
-    this raises ``OSError`` naming the child's exception. Where the
-    platform has no ``fork``, every file is written here. Call it only in a
-    process that runs no other thread, since the fork copies just the
-    calling one.
+    With ``split`` and two files or more, one child forked through
+    ``_fork.forked`` writes about half of them while this process writes the
+    rest, and the child is reaped before this returns, on every path: if
+    this process's share raises, the child is killed first; if the child's
+    share fails, this raises ``OSError`` naming the child's exception.
+    Without ``split``, or where the platform has no ``fork``, every file is
+    written here. Call it with ``split`` only in a process that runs no
+    other thread, since the fork copies just the calling one.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     n_rounds = trace.horizon + 1
-    files: list[_CsvFile] = [
-        (outdir / f"path_{c.id}.csv", trace.paths[c.id], _PATH_COLUMNS)
-        for c in trace.scenario.connections
-    ]
-    files += [(outdir / f"resource_{r.id}.csv", trace.resources[r.id], _RESOURCE_COLUMNS)
-              for r in trace.scenario.resources]
-    mine, theirs = _split_shares(files)
-    if not theirs or not hasattr(os, "fork"):
-        _write_csvs(files, n_rounds)
-    else:
+    records = [trace.paths[c.id] for c in trace.scenario.connections]
+    records += [trace.resources[r.id] for r in trace.scenario.resources]
+    files: list[_CsvFile] = [(p, record, columns) for (p, columns), record
+                             in zip(csv_files(trace.scenario, outdir), records)]
+    if split and len(files) > 1 and hasattr(os, "fork"):
+        mine, theirs = _split_shares(files)
         with forked(lambda: _write_csvs(theirs, n_rounds), "trace export child"):
             _write_csvs(mine, n_rounds)
+    else:
+        _write_csvs(files, n_rounds)
     return [p for p, _, _ in files]

@@ -11,6 +11,7 @@ its traces export with ``conftest.path_csv``/``resource_csv``.
 from __future__ import annotations
 
 import math
+import sys
 import zlib
 from array import array
 from dataclasses import dataclass, field
@@ -202,6 +203,15 @@ def _tiebreak_key(seed: int, round_idx: int, pid: str) -> int:
     return zlib.crc32(f"{seed}:{round_idx}:{pid}".encode())
 
 
+def _share(need: float, contribution: float, total: float) -> float:
+    """need * contribution / total, dividing first where the product would
+    leave the normal floats, as the kernel does."""
+    part = need * contribution
+    if sys.float_info.min <= part < math.inf:
+        return part / total
+    return need * (contribution / total)
+
+
 def allocate_loss(
     contributions: dict[str, float],
     cap: float,
@@ -261,7 +271,7 @@ def allocate_loss(
             break
         clamped = []
         for pid in active:
-            share = need * contributions[pid] / total_w
+            share = _share(need, contributions[pid], total_w)
             if share >= caps[pid] - losses[pid]:
                 clamped.append(pid)
         if clamped:
@@ -272,7 +282,7 @@ def allocate_loss(
             continue
         assigned = 0.0
         for pid in active:
-            share = need * contributions[pid] / total_w
+            share = _share(need, contributions[pid], total_w)
             losses[pid] += share
             assigned += share
         need -= assigned

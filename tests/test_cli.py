@@ -9,6 +9,7 @@ import random
 import runpy
 import subprocess
 import sys
+import time
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -205,31 +206,56 @@ def test_sweep_writes_subdirectories_and_summary(tmp_path):
 SWEEP_2X2 = ["--sweep-epsilon", "0.2,0.1", "--sweep-duration", "0.25,0.5"]
 
 
+def _appending_log(path: Path) -> int:
+    """A descriptor that the CLI process and its forked sweep child both
+    append whole lines to."""
+    return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+
 def test_a_sweep_runs_every_kernel_and_export_before_the_first_lp(tmp_path, monkeypatch):
-    calls: list[str] = []
+    log = tmp_path / "calls.log"
+    fd = _appending_log(log)
     for module, attr in ((kernel, "run"), (kernel, "export_trace"), (optimum, "solve_opt")):
-        def recording(*args, _inner=getattr(module, attr), _name=attr):
-            calls.append(_name)
-            return _inner(*args)
+        def recording(*args, _inner=getattr(module, attr), _name=attr, **kwargs):
+            os.write(fd, f"{os.getpid()} {_name}\n".encode())
+            return _inner(*args, **kwargs)
         monkeypatch.setattr(module, attr, recording)
-    assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "out")] + SWEEP_2X2) == 0
-    assert calls == ["run", "export_trace"] * 5 + ["solve_opt"] * 5
+    try:
+        assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "out")] + SWEEP_2X2) == 0
+    finally:
+        os.close(fd)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(name for _, name in calls[:10]) == ["export_trace"] * 5 + ["run"] * 5
+    assert [name for _, name in calls[10:]] == ["solve_opt"] * 5
+    # both processes take part, each running an entry's kernel and export in turn
+    per_process: dict[str, list[str]] = {}
+    for pid, name in calls[:10]:
+        per_process.setdefault(pid, []).append(name)
+    assert len(per_process) == 2
+    for names in per_process.values():
+        assert names == ["run", "export_trace"] * (len(names) // 2)
 
 
 def test_each_sweep_trace_is_dropped_before_the_next_kernel(tmp_path, monkeypatch):
+    log = tmp_path / "alive.log"
+    fd = _appending_log(log)
     refs: list[weakref.ref] = []
-    alive_at_start: list[int] = []
     inner = kernel.run
 
     def run_and_watch(scenario):
-        alive_at_start.append(sum(ref() is not None for ref in refs))
+        os.write(fd, f"{os.getpid()} {sum(ref() is not None for ref in refs)}\n".encode())
         trace = inner(scenario)
         refs.append(weakref.ref(trace))
         return trace
 
     monkeypatch.setattr(kernel, "run", run_and_watch)
-    assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "out")] + SWEEP_2X2) == 0
-    assert alive_at_start == [0] * 5
+    try:
+        assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "out")] + SWEEP_2X2) == 0
+    finally:
+        os.close(fd)
+    alive_at_start = [line.split() for line in log.read_text().splitlines()]
+    assert [alive for _, alive in alive_at_start] == ["0"] * 5
+    assert len({pid for pid, _ in alive_at_start}) == 2
 
 
 def test_a_kernel_failure_mid_sweep_finishes_the_earlier_entries(tmp_path, capsys):
@@ -300,8 +326,10 @@ def _library_sweep(scenario, out: Path, eps_values, durations) -> tuple[str, str
     return stdout, stderr
 
 
-def _tree(root: Path) -> dict[str, bytes]:
-    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every file's bytes and every directory (as ``None``) under ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
 
 
 def test_sweeps_write_what_per_entry_library_calls_write(tmp_path, capsys):
@@ -324,6 +352,107 @@ def test_sweeps_write_what_per_entry_library_calls_write(tmp_path, capsys):
         unbounded_warnings += printed.err.count("warning: optimum not computed")
     # the base and both duration-1 entries of every sweep
     assert unbounded_warnings == 3 * len(scenarios)
+
+
+def _underflowing_link(tmp_path: Path) -> Path:
+    """single_link at capacity 0: a run of 166 rounds or more underflows and
+    exits 3, a shorter one finishes."""
+    doc = json.loads(SINGLE.read_text())
+    doc["resources"][0]["capacity"] = [{"from_round": 0, "value": 0.0}]
+    doc["connections"][0].update(alpha=0.001, beta=0.99, active=[0, 99])
+    sc = tmp_path / "underflow.json"
+    sc.write_text(json.dumps(doc))
+    return sc
+
+
+def _with_and_without_fork(tmp_path, monkeypatch, capsys, flags) -> list[tuple]:
+    """(exit code, stdout, stderr, output tree) of one CLI run with
+    ``os.fork`` and one without it."""
+    runs = []
+    for name in ("forked", "unforked"):
+        if name == "unforked":
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / name
+        code = main(["--out", str(out), *flags])
+        printed = capsys.readouterr()
+        runs.append((code, printed.out, printed.err, _tree(out)))
+    return runs
+
+
+def test_a_forked_sweep_writes_and_prints_what_an_unforked_one_does(
+        tmp_path, monkeypatch, capsys):
+    # each entry's CSVs are written whole by the process that ran its kernel
+    monkeypatch.setattr(kernel, "forked", None)
+    forked, unforked = _with_and_without_fork(tmp_path, monkeypatch, capsys, [
+        "--scenario", str(SHARED),
+        "--sweep-epsilon", "0.2,0.1,0.05", "--sweep-duration", "1,2,4,8"])
+    # 13 entries of 4 CSVs and 2 JSON files, 12 subdirectories, the summary
+    assert forked[0] == 0 and len(forked[3]) == 13 * 6 + 12 + 1
+    assert forked == unforked
+
+
+def test_a_failure_in_the_childs_share_matches_an_unforked_sweep(
+        tmp_path, monkeypatch, capsys):
+    # the head is the base and durations 1.6-1.3; the child finishes 1.2 and
+    # 1.1, and 2 underflows
+    forked, unforked = _with_and_without_fork(tmp_path, monkeypatch, capsys, [
+        "--scenario", str(_underflowing_link(tmp_path)),
+        "--sweep-duration", "1.6,1.5,1.4,1.3,1.2,1.1,2"])
+    code, _, err, tree = forked
+    assert code == 3 and err == "error: path 'flow' round 166: non-positive send rate 0.0\n"
+    assert {"eps0.1_dur1.1/audit.json", "eps0.1_dur1.2/audit.json"} <= set(tree)
+    assert "eps0.1_dur2" not in tree
+    assert forked == unforked
+
+
+def test_a_failure_in_the_cli_processs_share_removes_the_childs_outputs(
+        tmp_path, monkeypatch, capsys):
+    # the head is the base, duration 2 (which underflows) and 1.5; the child
+    # has 1.4 and 1.3, and duration 2 fails only once 1.4's CSVs are written
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    export, run = kernel.export_trace, kernel.run
+    waited = []
+
+    def export_and_mark(trace, outdir, **kwargs):
+        written = export(trace, outdir, **kwargs)
+        (marks / Path(outdir).name).touch()
+        return written
+
+    def run_after_the_mark(scenario):
+        if scenario.horizon == 199 and hasattr(os, "fork"):
+            for _ in range(1000):
+                if (marks / "eps0.1_dur1.4").exists():
+                    break
+                time.sleep(0.01)
+            assert (marks / "eps0.1_dur1.4").exists()
+            waited.append(scenario)
+        return run(scenario)
+
+    monkeypatch.setattr(kernel, "export_trace", export_and_mark)
+    monkeypatch.setattr(kernel, "run", run_after_the_mark)
+    forked, unforked = _with_and_without_fork(tmp_path, monkeypatch, capsys, [
+        "--scenario", str(_underflowing_link(tmp_path)), "--sweep-duration", "2,1.5,1.4,1.3"])
+    assert len(waited) == 1 and forked[0] == 3
+    assert sorted(forked[3]) == ["audit.json", "optimum.json", "path_flow.csv",
+                                 "resource_link.csv"]
+    assert forked == unforked
+
+
+def test_a_sweep_child_that_dies_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
+    cli_pid, run = os.getpid(), kernel.run
+
+    def run_or_die(scenario):
+        if os.getpid() != cli_pid:
+            os._exit(1)
+        return run(scenario)
+
+    monkeypatch.setattr(kernel, "run", run_or_die)
+    out = tmp_path / "out"
+    assert main(["--scenario", str(SHARED), "--out", str(out)] + SWEEP_2X2) == 3
+    printed = capsys.readouterr()
+    assert printed.out.startswith("ratio=")
+    assert printed.err == "error: sweep child failed: exit code 1\n"
 
 
 def test_sweep_rejected_outside_simulate_mode(tmp_path, capsys):
@@ -403,6 +532,23 @@ def test_bwtest_two_disjoint_links(tmp_path, capsys):
     assert doc["opt_rate"] == pytest.approx(100.0, rel=1e-9)
     assert abs(doc["estimate"] - 100.0) <= 5.0
     assert capsys.readouterr().out.startswith("bandwidth_estimate=")
+
+
+def test_bwtest_gives_the_lp_worker_the_equalized_scenario(tmp_path):
+    # ten paths of value 1 once equalized: the LP goes to the worker, not
+    # to HiGHS in the CLI process
+    doc = json.loads(BWPAIR.read_text())
+    doc["connections"] += [{**doc["connections"][0], "id": f"copy{i}", "value": 0.0}
+                           for i in range(8)]
+    sc = tmp_path / "ten.json"
+    sc.write_text(json.dumps(doc))
+    probe = ("import sys; from mimdsim.cli import main; "
+             f"code = main(['--scenario', {str(sc)!r}, '--mode', 'bwtest', "
+             f"'--out', {str(tmp_path / 'out')!r}]); "
+             "print(code, 'scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_src_env(), check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_bwtest_requires_a_common_active_interval(tmp_path, capsys):

@@ -250,6 +250,15 @@ def test_adversarial_split_survives_products_past_the_float_range():
             assert math.isclose(got, want * 1e160, rel_tol=1e-12)
 
 
+def test_adversarial_split_survives_products_below_the_normal_floats():
+    # at 1e-160, need * size falls below the normal floats before the division
+    small, tiny = run(_two_paths_one_link(1.0)), run(_two_paths_one_link(1e-160))
+    assert tiny.resources["link"].lost[0] == 1e-160
+    for pid in ("a", "b"):
+        for want, got in zip(small.paths[pid].lost, tiny.paths[pid].lost):
+            assert math.isclose(got, want * 1e-160, rel_tol=1e-12)
+
+
 def test_congested_only_discard_property():
     rng = random.Random(2024)
     for _ in range(15):

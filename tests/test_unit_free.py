@@ -1,7 +1,9 @@
 """The fluid model has no packet unit: scaling every capacity and start rate
 by a power of two scales every rate, receipt and loss by exactly that factor.
 
-The kernel keeps this bit for bit, and so does the exact LP route (at most
+The kernel keeps this bit for bit, and its conservation checks are relative
+to the load the losses are taken from, so they neither trip on a valid run
+nor forgive a breach at any scale. So does the exact LP route (at most
 ``EXACT_MAX_COLUMNS`` weighted paths, which covers every ``random_scenario``
 draw). The HiGHS route keeps it up to HiGHS's absolute tolerances, and on
 both routes the feasibility check must not depend on the unit: a valid
@@ -19,8 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import lp_instance, random_scenario
-from mimdsim import optimum
-from mimdsim.kernel import run
+from mimdsim import kernel, optimum
+from mimdsim.kernel import KernelError, loss_totals, run
 from mimdsim.model import (
     AdversarialFairLoss,
     CapacityTimeline,
@@ -64,6 +66,31 @@ def test_kernel_traces_scale_exactly_under_both_policies(seed, k):
             for column in ("into", "lost", "cap"):
                 assert list(getattr(got.resources[rid], column)) == [
                     v * factor for v in getattr(led, column)], (rid, column)
+
+
+@PROPERTY
+@given(seed=SEEDS, k=st.integers(-40, 40))
+def test_no_valid_run_at_any_scale_comes_near_a_conservation_check(seed, k):
+    # either check raises KernelError; the paths' and the resources' loss
+    # totals agree to rounding, far inside the run check's relative bound
+    base = scaled(random_scenario(random.Random(seed)), 2.0**k)
+    for policy in (ProportionalLoss(), AdversarialFairLoss(base.connections[0].id)):
+        trace = run(replace(base, loss_policy=policy))
+        path_lost, res_lost = loss_totals(trace)
+        carried = sum(sum(led.into) for led in trace.resources.values())
+        assert abs(path_lost - res_lost) <= 1e-3 * kernel.CONSERVATION_RTOL * carried
+
+
+def test_an_event_short_of_a_tiny_excess_trips_the_event_check(monkeypatch):
+    # at 2**-37 every excess is below 1e-9, which an absolute floor forgave
+    base = random_scenario(random.Random(306))
+    sc = scaled(replace(base, loss_policy=AdversarialFairLoss(base.connections[0].id)), 2.0**-37)
+    run(sc)
+    split = kernel.allocate_loss
+    monkeypatch.setattr(kernel, "allocate_loss",
+                        lambda *args: [0.41 * loss for loss in split(*args)])
+    with pytest.raises(KernelError, match=r"^loss event at 'r\d+' round \d+ dropped"):
+        run(sc)
 
 
 @PROPERTY
