@@ -1,8 +1,11 @@
 """The one fork discipline, shared by every forked process: the LP worker,
-the trace export child, and the child that runs the tail of a sweep's
-pass 1 (``cli._measure_in_two``). A child with results to return, as the
-LP worker and the sweep child have, sends them over a pipe of its own; the
-helper carries only a failure."""
+the trace export child that writes a run's CSVs behind its kernel
+(``kernel.CsvStream``) and the helper it forks for the last rows, and the
+child that runs the tail of a sweep's pass 1 (``cli._measure_in_two``). A
+child that needs more than a function to call, such as the row counts the
+export child waits for, or that has results to return, as the LP worker
+and the sweep child have, uses a pipe of its own; ``forked`` carries only
+a failure."""
 
 from __future__ import annotations
 

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
@@ -82,13 +82,19 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario
 
 
-def _measure(scenario: Scenario, outdir: Path, split: bool) -> audit.AuditReport:
-    """Pass 1 of one entry: the trace CSVs (``split`` as in
-    ``kernel.export_trace``) and every audit field the trace gives; the
-    trace is dropped on return."""
-    trace = kernel.run(scenario)
-    kernel.export_trace(trace, outdir, split=split)
-    return audit.competitive_ratio(trace, None)
+def _measure(scenario: Scenario, outdir: Path, stream: bool) -> audit.AuditReport:
+    """Pass 1 of one entry: the trace CSVs and every audit field the trace
+    gives; the trace is dropped on return.
+
+    With ``stream``, a ``kernel.CsvStream`` child writes the CSVs while the
+    kernel runs and then while this process audits.
+    """
+    with kernel.CsvStream(outdir) if stream else nullcontext() as on_round:
+        trace = kernel.run(scenario, on_round=on_round)
+        try:
+            return audit.competitive_ratio(trace, None)
+        finally:
+            kernel.export_trace(trace, outdir)
 
 
 def _finish(scenario: Scenario, outdir: Path,
@@ -162,12 +168,15 @@ def _measure_in_two(entries: list[_Entry], measured: list[audit.AuditReport]) ->
     The entries are cut where the running sum of their sizes (rows times
     CSV columns) first reaches half, leaving the child at least one; this
     process measures the head, the child the tail, each entry's CSVs
-    written whole by the process that ran its kernel. The child sends back
-    its reports, pickled, and at its first failing entry that entry's
-    exception, and stops; that exception is raised here once the reports
-    before it are in ``measured``. If the head fails, the child is killed,
-    and the CSVs of the tail and each of its directories left empty are
-    removed, so the files left are those of a one-process run.
+    written whole by the process that ran its kernel. The child writes
+    each entry into the ``kernel.staged`` name of its directory and sends
+    back its reports, pickled, and at its first failing entry that entry's
+    exception, and stops. Once the head has succeeded, the CSVs of the
+    tail's entries up to the failing one are moved into place, and that
+    exception is raised here once the reports before it are in
+    ``measured``. Whatever else is staged is removed (the whole tail, if
+    the head fails and the child is killed), so the files left are those
+    of a one-process run, an earlier run's files included.
     """
     import pickle
 
@@ -186,43 +195,60 @@ def _measure_in_two(entries: list[_Entry], measured: list[audit.AuditReport]) ->
         failure = None
         try:
             for variant, sub, _ in tail:
-                done.append(_measure(variant, sub, False))
+                done.append(_measure(variant, kernel.staged(sub), False))
         except Exception as exc:
             failure = exc
         with open(write_fd, "wb") as replies:
             pickle.dump((done, failure), replies)
 
-    head_done = False
     try:
         with forked(measure_tail, "sweep child"):
             os.close(write_fd)
             with open(read_fd, "rb") as replies:
                 for variant, sub, _ in head:
                     measured.append(_measure(variant, sub, False))
-                head_done = True
                 reply = replies.read()
-    except BaseException:
-        if not head_done:
-            for variant, sub, _ in tail:
-                with suppress(OSError):
-                    for path, _ in kernel.csv_files(variant, sub):
-                        path.unlink(missing_ok=True)
-                    sub.rmdir()
-        raise
-    done, failure = pickle.loads(reply)
+        done, failure = pickle.loads(reply)
+        # the tail's entries up to its failing one are those a one-process run reaches
+        for variant, sub, _ in tail[:len(done) + (failure is not None)]:
+            _unstage(variant, sub)
+    finally:
+        for variant, sub, _ in tail:
+            _remove_stage(variant, sub)
     measured += done
     if failure is not None:
         raise failure
+
+
+def _unstage(variant: Scenario, sub: Path) -> None:
+    """Move the CSVs the sweep child wrote for one entry into ``sub``,
+    creating it as ``kernel.export_trace`` would have."""
+    stage = kernel.staged(sub)
+    if not stage.is_dir():   # its kernel failed
+        return
+    sub.mkdir(exist_ok=True)
+    for path, _ in kernel.csv_files(variant, sub):
+        with suppress(FileNotFoundError):   # its export failed before this file
+            os.replace(stage / path.name, path)
+
+
+def _remove_stage(variant: Scenario, sub: Path) -> None:
+    stage = kernel.staged(sub)
+    with suppress(OSError):
+        for path, _ in kernel.csv_files(variant, stage):
+            path.unlink(missing_ok=True)
+        stage.rmdir()
 
 
 def cmd_simulate(entries: list[_Entry]) -> int:
     """Run every entry of ``_simulate_entries``; a sweep's summary goes into
     the base entry's directory.
 
-    Pass 1 runs each entry's kernel, CSVs and trace audit; in a sweep it is
-    split over this process and one forked child (``_measure_in_two``)
-    where the platform has ``fork``, and otherwise runs here, in entry
-    order. Pass 2, here and in entry order, solves each LP and writes
+    Pass 1 runs each entry's kernel, CSVs and trace audit. Where the
+    platform has ``fork``, a sweep's pass 1 is split over this process and
+    one forked child (``_measure_in_two``), and a one-entry run streams its
+    CSVs from a child (``kernel.CsvStream``); otherwise it runs here, in
+    entry order. Pass 2, here and in entry order, solves each LP and writes
     ``optimum.json`` and ``audit.json``; it starts after every kernel, so a
     forked LP worker imports scipy meanwhile, and it also finishes the
     entries measured before a pass-1 failure. Either way stdout, stderr,
@@ -231,12 +257,13 @@ def cmd_simulate(entries: list[_Entry]) -> int:
     """
     measured: list[audit.AuditReport] = []
     reports: list[audit.AuditReport] = []
+    forking = hasattr(os, "fork")
     try:
-        if len(entries) > 1 and hasattr(os, "fork"):
+        if len(entries) > 1 and forking:
             _measure_in_two(entries, measured)
         else:
             for variant, sub, _ in entries:
-                measured.append(_measure(variant, sub, len(entries) == 1))
+                measured.append(_measure(variant, sub, forking))
     finally:
         for (variant, sub, _), report in zip(entries, measured):
             reports.append(_finish(variant, sub, report))

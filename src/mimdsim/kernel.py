@@ -15,7 +15,9 @@ fed back to the source.
 Each cohort is stored once, in ``rcvd[s + total_delay]`` from its send round
 ``s`` on, and cut there in place by each loss event, so a cohort crossing
 zero-latency hops sees their pooled losses in route order and arrives with no
-copy. Runs are single-threaded and bit-for-bit deterministic; traces are
+copy. The per-round arrays are slices of one anonymous shared mapping, so a
+process forked during the run (``CsvStream``) reads each row as it is
+written. Runs are single-threaded and bit-for-bit deterministic; traces are
 immutable once returned.
 """
 
@@ -25,8 +27,10 @@ import math
 import os
 import sys
 from array import array
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from contextlib import ExitStack, suppress
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import protocol
@@ -54,8 +58,8 @@ class ResourceLedger:
     """Dense per-round accounting for one resource."""
 
     resource_id: str
-    into: array
-    lost: array
+    into: memoryview
+    lost: memoryview
     cap: array
 
 
@@ -64,10 +68,10 @@ class PathRecord:
     """Dense per-round accounting for one path (zeros outside its windows)."""
 
     path_id: str
-    sent: array
-    rcvd: array
-    lost: array
-    lsr: array
+    sent: memoryview
+    rcvd: memoryview
+    lost: memoryview
+    lsr: memoryview
 
 
 @dataclass
@@ -78,6 +82,9 @@ class RunTrace:
     horizon: int
     paths: dict[str, PathRecord]
     resources: dict[str, ResourceLedger]
+    # the CsvStream writing this trace's CSVs, from its first round until
+    # export_trace finishes it
+    stream: CsvStream | None = field(default=None, repr=False, compare=False)
 
 
 def allocate_loss(
@@ -130,10 +137,25 @@ def allocate_loss(
     return losses
 
 
-def run(scenario: Scenario) -> RunTrace:
+def _shared_zeros(count: int, n_rounds: int) -> Iterator[memoryview]:
+    """``count`` zeroed float arrays of ``n_rounds``, in one anonymous shared
+    mapping."""
+    import mmap
+
+    whole = memoryview(mmap.mmap(-1, 8 * max(1, count * n_rounds))).cast("d")
+    return (whole[i * n_rounds:(i + 1) * n_rounds] for i in range(count))
+
+
+def run(scenario: Scenario,
+        on_round: Callable[[RunTrace, int], None] | None = None) -> RunTrace:
     """Execute the scenario through its horizon and return the full trace.
 
-    Deterministic given the scenario.
+    Deterministic given the scenario. ``on_round(trace, t)``, if given, is
+    called after each round ``t`` with the trace being filled, whose rows
+    ``0..t`` are then final: round ``t`` writes no row before ``t``, since
+    a cohort is cut only while it is in flight, in the row it arrives in.
+    The call for the last round comes after the end-of-run checks, so once
+    it is made the run has succeeded.
     """
     require_valid(scenario)
     conns = scenario.connections
@@ -141,17 +163,17 @@ def run(scenario: Scenario) -> RunTrace:
     horizon = scenario.horizon
     n_rounds = horizon + 1
 
-    def zeros() -> array:
-        return array("d", bytes(8 * n_rounds))
-
+    zeros = _shared_zeros(4 * len(conns) + 2 * len(scenario.resources), n_rounds)
     ledgers = [
-        ResourceLedger(r.id, zeros(), zeros(), array("d", r.capacity.values_until(horizon)))
+        ResourceLedger(r.id, next(zeros), next(zeros),
+                       array("d", r.capacity.values_until(horizon)))
         for r in scenario.resources
     ]
-    records = [PathRecord(c.id, zeros(), zeros(), zeros(), zeros()) for c in conns]
+    records = [PathRecord(c.id, next(zeros), next(zeros), next(zeros), next(zeros))
+               for c in conns]
     # inflight[k][s]: what is left of path k's cohort sent at round s, kept
     # from the send on in rcvd[s + total_delay], where it arrives
-    inflight = [memoryview(rec.rcvd)[c.total_delay:] for rec, c in zip(records, conns)]
+    inflight = [rec.rcvd[c.total_delay:] for rec, c in zip(records, conns)]
 
     # The static schedule: each resource in same-round precedence order with
     # its members (path, pre-delay, first and last transit round).
@@ -167,6 +189,12 @@ def run(scenario: Scenario) -> RunTrace:
     budget_scale = 1.0 + scenario.epsilon
     frac_lost = [0.0] * len(conns)   # running sum of per-hop loss / cohort size
     frac_seen = [0.0] * len(conns)   # running sum of traversed resource loss ratios
+    trace = RunTrace(
+        scenario=scenario,
+        horizon=horizon,
+        paths=dict(zip(ids, records)),
+        resources=dict(zip((r.id for r in scenario.resources), ledgers)),
+    )
 
     for t in range(n_rounds):
         # Sources emit, using only feedback with timestamp <= t-1.
@@ -244,13 +272,9 @@ def run(scenario: Scenario) -> RunTrace:
                 rec.lsr[t] = protocol.loss_fraction(rec.sent[s], got)
             except protocol.ProtocolError as exc:
                 raise protocol.ProtocolError(f"path {c.id!r} round {t}: {exc}") from exc
+        if on_round is not None and t < horizon:
+            on_round(trace, t)
 
-    trace = RunTrace(
-        scenario=scenario,
-        horizon=horizon,
-        paths=dict(zip(ids, records)),
-        resources=dict(zip((r.id for r in scenario.resources), ledgers)),
-    )
     # every packet dropped at a resource must surface as an end-to-end loss,
     # up to rounding relative to the load the losses were taken from (not to
     # the loss totals: a tiny loss is a difference of two large rates)
@@ -263,6 +287,8 @@ def run(scenario: Scenario) -> RunTrace:
         raise KernelError(
             f"conservation breach: paths lost {path_lost}, resources lost {res_lost}"
         )
+    if on_round is not None:
+        on_round(trace, horizon)
     return trace
 
 
@@ -279,12 +305,15 @@ def loss_totals(trace: RunTrace) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # Trace export: per-path CSV `round,sent,rcvd,lost,lsr` and per-resource CSV
-# `round,into,lost,cap`, column order fixed. Files are written in chunks of
-# at most _CSV_CHUNK_ROWS rows, so export memory does not grow with the horizon.
-# The export is almost all float repr, so export_trace can split the files
-# between the calling process and one forked child, which reads the trace
-# through the fork's copy-on-write pages: nothing is pickled or piped, and
-# each file's bytes do not depend on which process writes it.
+# `round,into,lost,cap`, column order fixed, written _CSV_CHUNK_ROWS rows at a
+# time, so export memory does not grow with the horizon. The export is almost
+# all float repr. A finished trace is written in the calling process; a
+# CsvStream writes it behind the kernel instead, in one forked child. The
+# kernel's arrays live in one anonymous shared mapping, so the child reads
+# every row the kernel stores after the fork, and row t is final once round t
+# has ended. Only round counts cross the pipe, and its syscalls order the
+# child's reads after the kernel's stores. Files are written under staged
+# names and moved into place only once all are complete.
 # ---------------------------------------------------------------------------
 
 _CSV_CHUNK_ROWS = 4096
@@ -303,70 +332,159 @@ def csv_files(scenario: Scenario, outdir: Path) -> list[tuple[Path, tuple[str, .
                for r in scenario.resources])
 
 
-def _csv_chunks(record: PathRecord | ResourceLedger, columns: tuple[str, ...],
-                n_rounds: int) -> Iterator[str]:
-    """The CSV text of one record: the header line, then chunks of rows."""
-    yield ",".join(("round",) + columns) + "\n"
-    row = ",".join(["%r"] * (1 + len(columns))) + "\n"
-    arrays = [getattr(record, name) for name in columns]
-    for lo in range(0, n_rounds, _CSV_CHUNK_ROWS):
-        hi = min(lo + _CSV_CHUNK_ROWS, n_rounds)
-        yield "".join([row % r for r in zip(range(lo, hi), *(a[lo:hi] for a in arrays))])
+def staged(path: Path) -> Path:
+    """The hidden name beside ``path`` that it is written under until it is
+    complete and moved into place."""
+    return path.with_name(f".{path.name}.part")
 
 
-def _write_csvs(files: list[_CsvFile], n_rounds: int) -> None:
-    for p, record, columns in files:
-        with p.open("w") as f:
-            f.writelines(_csv_chunks(record, columns, n_rounds))
-
-
-def _split_shares(files: list[_CsvFile]) -> tuple[list[_CsvFile], list[_CsvFile]]:
-    """The most even two-way split, a file's size being its column count (all
-    have the same rows); the first share is the larger or equal one.
-
-    Exact subset sum over the small column counts: bit ``s`` of
-    ``reach[i]`` says some of the first ``i`` files sum to ``s``.
-    """
-    sizes = [len(columns) for _, _, columns in files]
-    reach = [1]
-    for size in sizes:
-        reach.append(reach[-1] | reach[-1] << size)
-    target = sum(sizes) // 2
-    while not reach[-1] >> target & 1:
-        target -= 1
-    smaller = [False] * len(files)
-    for i in range(len(files), 0, -1):
-        if not reach[i - 1] >> target & 1:
-            smaller[i - 1] = True
-            target -= sizes[i - 1]
-    return ([e for e, s in zip(files, smaller) if not s],
-            [e for e, s in zip(files, smaller) if s])
-
-
-def export_trace(trace: RunTrace, outdir: str | Path, split: bool = True) -> list[Path]:
-    """Write all per-path and per-resource CSVs (``csv_files``); returns the
-    paths written, in that order.
-
-    With ``split`` and two files or more, one child forked through
-    ``_fork.forked`` writes about half of them while this process writes the
-    rest, and the child is reaped before this returns, on every path: if
-    this process's share raises, the child is killed first; if the child's
-    share fails, this raises ``OSError`` naming the child's exception.
-    Without ``split``, or where the platform has no ``fork``, every file is
-    written here. Call it with ``split`` only in a process that runs no
-    other thread, since the fork copies just the calling one.
-    """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    n_rounds = trace.horizon + 1
+def _csv_files(trace: RunTrace, outdir: Path) -> list[_CsvFile]:
     records = [trace.paths[c.id] for c in trace.scenario.connections]
     records += [trace.resources[r.id] for r in trace.scenario.resources]
-    files: list[_CsvFile] = [(p, record, columns) for (p, columns), record
-                             in zip(csv_files(trace.scenario, outdir), records)]
-    if split and len(files) > 1 and hasattr(os, "fork"):
-        mine, theirs = _split_shares(files)
-        with forked(lambda: _write_csvs(theirs, n_rounds), "trace export child"):
-            _write_csvs(mine, n_rounds)
-    else:
-        _write_csvs(files, n_rounds)
+    return [(p, record, columns) for (p, columns), record
+            in zip(csv_files(trace.scenario, outdir), records)]
+
+
+def _csv_header(columns: tuple[str, ...]) -> str:
+    return ",".join(("round",) + columns) + "\n"
+
+
+def _csv_rows(record: PathRecord | ResourceLedger, columns: tuple[str, ...],
+              lo: int, hi: int) -> str:
+    """The CSV text of rows ``lo..hi-1`` of one record."""
+    row = ",".join(["%r"] * (1 + len(columns))) + "\n"
+    arrays = [getattr(record, name)[lo:hi] for name in columns]
+    return "".join([row % r for r in zip(range(lo, hi), *arrays)])
+
+
+def _append_rows(files: list[_CsvFile], lo: int, hi: int) -> None:
+    """Append rows ``lo..hi-1`` to every file, which holds rows ``0..lo-1``;
+    at ``lo == 0``, create it with the header."""
+    for p, record, columns in files:
+        with p.open("a" if lo else "w") as f:
+            if not lo:
+                f.write(_csv_header(columns))
+            f.write(_csv_rows(record, columns, lo, hi))
+
+
+class CsvStream:
+    """Writes a run's CSVs behind its kernel, in one forked child.
+
+    Enter it, pass it to ``run`` as ``on_round`` inside the block, and end
+    the block with ``export_trace``, which finishes it. After round 0 it
+    forks the child through ``_fork.forked``; then, each time
+    _CSV_CHUNK_ROWS more rows are final, and once the run has passed its
+    checks, it sends the child the count of final rows, and the child
+    appends them to every file under its ``staged`` name. The kernel needs
+    no core for the last rows, so the child writes them with one helper it
+    forks, half the files each. ``export_trace`` reaps the child and only
+    then moves the files into place. If the block raises first, the child
+    is killed and the staged files are removed, so a failed run leaves no
+    CSV and leaves an earlier run's files as they were. A child whose parent
+    dies reads EOF, removes the staged files and exits. Use it only in a
+    process that runs no other thread, since the fork copies just the
+    calling one.
+    """
+
+    def __init__(self, outdir: str | Path) -> None:
+        self.outdir = Path(outdir)
+        self._files: list[_CsvFile] = []   # final paths, until moved into place
+        self._rows_to: int | None = None   # the pipe's write end, once forked
+        self._child = ExitStack()
+
+    def __enter__(self) -> CsvStream:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            self._child.__exit__(*exc_info)   # kills the child if the block raised
+        finally:
+            _remove_staged(self._files)
+
+    def __call__(self, trace: RunTrace, t: int) -> None:
+        if self._rows_to is None:
+            self._fork(trace)
+        if (t + 1) % _CSV_CHUNK_ROWS == 0 or t == trace.horizon:
+            # a child that died early is reported once it is reaped
+            with suppress(BrokenPipeError):
+                os.write(self._rows_to, (t + 1).to_bytes(8, "little"))
+
+    def _fork(self, trace: RunTrace) -> None:
+        trace.stream = self
+        self._files = _csv_files(trace, self.outdir)
+        read_fd, write_fd = os.pipe()
+        try:
+            self._child.enter_context(forked(
+                lambda: self._write(trace.horizon + 1, read_fd, write_fd),
+                "trace export child"))
+        except BaseException:
+            os.close(write_fd)
+            raise
+        finally:
+            os.close(read_fd)
+        self._rows_to = write_fd
+        self._child.callback(os.close, write_fd)   # runs before the reap
+
+    def _write(self, n_rounds: int, read_fd: int, write_fd: int) -> None:
+        """The child: append each chunk of rows to the staged files once it is
+        final."""
+        os.close(write_fd)
+        files = [(staged(p), record, columns) for p, record, columns in self._files]
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        done = 0
+        with open(read_fd, "rb") as published:
+            while done < n_rounds:
+                count = published.read(8)
+                if len(count) < 8:
+                    _remove_staged(self._files)
+                    raise EOFError(f"rows {done} to {n_rounds - 1} were never published")
+                final = int.from_bytes(count, "little")
+                if final < n_rounds or len(files) < 2:
+                    _append_rows(files, done, final)
+                else:   # the run has ended: a helper takes half the files
+                    with forked(partial(_append_rows, files[1::2], done, final),
+                                "trace export helper"):
+                        _append_rows(files[::2], done, final)
+                done = final
+
+    def finish(self) -> list[Path]:
+        """Wait for the child, then move every file into place; returns the
+        final paths."""
+        files, self._files = self._files, []
+        try:
+            self._child.close()   # closes the pipe and reaps; raises if the child failed
+            for p, _, _ in files:
+                os.replace(staged(p), p)
+        except BaseException:
+            _remove_staged(files)
+            raise
+        return [p for p, _, _ in files]
+
+
+def _remove_staged(files: list[_CsvFile]) -> None:
+    """Remove what is staged of ``files``, as far as it can be: this runs on
+    failure paths, whose own error is the one to report."""
+    for p, _, _ in files:
+        with suppress(OSError):
+            staged(p).unlink()
+
+
+def export_trace(trace: RunTrace, outdir: str | Path) -> list[Path]:
+    """Write all per-path and per-resource CSVs (``csv_files``); returns the
+    paths written, in that order, once every file is complete.
+
+    A finished trace is written here. A trace that a ``CsvStream`` is
+    writing is finished by it (``CsvStream.finish``) into the directory it
+    was given: the child is reaped before this returns, and a child that
+    failed raises ``OSError`` naming its exception, leaving no CSV.
+    """
+    stream, trace.stream = trace.stream, None
+    if stream is not None:
+        return stream.finish()
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = _csv_files(trace, outdir)
+    n_rounds = trace.horizon + 1
+    for lo in range(0, n_rounds, _CSV_CHUNK_ROWS):
+        _append_rows(files, lo, min(lo + _CSV_CHUNK_ROWS, n_rounds))
     return [p for p, _, _ in files]

@@ -257,13 +257,15 @@ def _tight_ranges(
 ) -> tuple[tuple[str, int, int], ...]:
     """Inclusive (resource, first, last) round ranges where ``loads`` meet capacity.
 
-    Adjacent binding segments of one resource merge into one range.
+    A load binds within 1e-7 of its capacity, relative to it, so the ranges
+    do not depend on the unit. Adjacent binding segments of one resource
+    merge into one range.
     """
     ranges: list[tuple[str, int, int]] = []
     for seg, load in zip(segments, loads):
         if math.isinf(seg.cap):
             continue
-        if not load >= seg.cap - 1e-7 * max(1.0, seg.cap):
+        if not load >= seg.cap - 1e-7 * seg.cap:
             continue
         if ranges and ranges[-1][0] == seg.resource_id and ranges[-1][2] == seg.lo - 1:
             ranges[-1] = (seg.resource_id, ranges[-1][1], seg.hi - 1)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from mimdsim.kernel import _PATH_COLUMNS, _RESOURCE_COLUMNS, RunTrace, _csv_chunks
+from mimdsim.kernel import _PATH_COLUMNS, _RESOURCE_COLUMNS, RunTrace, _csv_header, _csv_rows
 from mimdsim.model import (
     AdversarialFairLoss,
     CapacityTimeline,
@@ -31,15 +31,32 @@ def no_leaked_child_processes():
     assert_no_child_processes()
 
 
+def record_forks(monkeypatch) -> list[int]:
+    """Make ``os.fork`` append each pid it returns in this process."""
+    pids: list[int] = []
+    fork = os.fork
+
+    def recording_fork() -> int:
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
 def path_csv(trace: RunTrace, path_id: str) -> str:
-    """The text ``export_trace`` writes to ``path_<path_id>.csv``."""
-    return "".join(_csv_chunks(trace.paths[path_id], _PATH_COLUMNS, trace.horizon + 1))
+    """The text ``export_trace`` writes to ``path_<path_id>.csv``, formatted
+    in one piece."""
+    return _csv_header(_PATH_COLUMNS) + _csv_rows(trace.paths[path_id], _PATH_COLUMNS,
+                                                  0, trace.horizon + 1)
 
 
 def resource_csv(trace: RunTrace, resource_id: str) -> str:
-    """The text ``export_trace`` writes to ``resource_<resource_id>.csv``."""
-    return "".join(_csv_chunks(trace.resources[resource_id], _RESOURCE_COLUMNS,
-                               trace.horizon + 1))
+    """The text ``export_trace`` writes to ``resource_<resource_id>.csv``,
+    formatted in one piece."""
+    return _csv_header(_RESOURCE_COLUMNS) + _csv_rows(trace.resources[resource_id],
+                                                      _RESOURCE_COLUMNS, 0, trace.horizon + 1)
 
 
 def constant_resource(rid: str, cap: float) -> ResourceSpec:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_scenario, simple_conn, step_resource
+from conftest import random_scenario, record_forks, simple_conn, step_resource
 from mimdsim import audit, kernel, optimum
 from mimdsim.cli import _sweep_variant, main
 from mimdsim.model import emit_scenario, parse_scenario
@@ -242,9 +242,9 @@ def test_each_sweep_trace_is_dropped_before_the_next_kernel(tmp_path, monkeypatc
     refs: list[weakref.ref] = []
     inner = kernel.run
 
-    def run_and_watch(scenario):
+    def run_and_watch(scenario, **kwargs):
         os.write(fd, f"{os.getpid()} {sum(ref() is not None for ref in refs)}\n".encode())
-        trace = inner(scenario)
+        trace = inner(scenario, **kwargs)
         refs.append(weakref.ref(trace))
         return trace
 
@@ -405,32 +405,39 @@ def test_a_failure_in_the_childs_share_matches_an_unforked_sweep(
     assert forked == unforked
 
 
-def test_a_failure_in_the_cli_processs_share_removes_the_childs_outputs(
-        tmp_path, monkeypatch, capsys):
-    # the head is the base, duration 2 (which underflows) and 1.5; the child
-    # has 1.4 and 1.3, and duration 2 fails only once 1.4's CSVs are written
+def _fail_the_head_after_the_childs_first_export(tmp_path, monkeypatch) -> list:
+    """With ``--sweep-duration 2,1.5,1.4,1.3``, the head is the base,
+    duration 2 (which underflows) and 1.5, and the child has 1.4 and 1.3;
+    make duration 2 start only once the child has written 1.4's CSVs.
+    Returns the list of runs that waited."""
     marks = tmp_path / "marks"
     marks.mkdir()
     export, run = kernel.export_trace, kernel.run
     waited = []
 
-    def export_and_mark(trace, outdir, **kwargs):
-        written = export(trace, outdir, **kwargs)
-        (marks / Path(outdir).name).touch()
+    def export_and_mark(trace, outdir):
+        written = export(trace, outdir)
+        (marks / str(trace.horizon)).touch()
         return written
 
-    def run_after_the_mark(scenario):
+    def run_after_the_mark(scenario, **kwargs):
         if scenario.horizon == 199 and hasattr(os, "fork"):
             for _ in range(1000):
-                if (marks / "eps0.1_dur1.4").exists():
+                if (marks / "139").exists():
                     break
                 time.sleep(0.01)
-            assert (marks / "eps0.1_dur1.4").exists()
+            assert (marks / "139").exists()
             waited.append(scenario)
-        return run(scenario)
+        return run(scenario, **kwargs)
 
     monkeypatch.setattr(kernel, "export_trace", export_and_mark)
     monkeypatch.setattr(kernel, "run", run_after_the_mark)
+    return waited
+
+
+def test_a_failure_in_the_cli_processs_share_removes_the_childs_outputs(
+        tmp_path, monkeypatch, capsys):
+    waited = _fail_the_head_after_the_childs_first_export(tmp_path, monkeypatch)
     forked, unforked = _with_and_without_fork(tmp_path, monkeypatch, capsys, [
         "--scenario", str(_underflowing_link(tmp_path)), "--sweep-duration", "2,1.5,1.4,1.3"])
     assert len(waited) == 1 and forked[0] == 3
@@ -439,13 +446,29 @@ def test_a_failure_in_the_cli_processs_share_removes_the_childs_outputs(
     assert forked == unforked
 
 
+def test_a_failure_in_the_cli_processs_share_keeps_an_earlier_runs_files(
+        tmp_path, monkeypatch, capsys):
+    waited = _fail_the_head_after_the_childs_first_export(tmp_path, monkeypatch)
+    for name in ("forked", "unforked"):
+        earlier = tmp_path / name / "eps0.1_dur1.3" / "path_flow.csv"
+        earlier.parent.mkdir(parents=True)
+        earlier.write_text("from an earlier run\n")
+    forked, unforked = _with_and_without_fork(tmp_path, monkeypatch, capsys, [
+        "--scenario", str(_underflowing_link(tmp_path)), "--sweep-duration", "2,1.5,1.4,1.3"])
+    assert len(waited) == 1 and forked[0] == 3
+    assert forked[3]["eps0.1_dur1.3/path_flow.csv"] == b"from an earlier run\n"
+    assert sorted(forked[3]) == ["audit.json", "eps0.1_dur1.3", "eps0.1_dur1.3/path_flow.csv",
+                                 "optimum.json", "path_flow.csv", "resource_link.csv"]
+    assert forked == unforked
+
+
 def test_a_sweep_child_that_dies_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
     cli_pid, run = os.getpid(), kernel.run
 
-    def run_or_die(scenario):
+    def run_or_die(scenario, **kwargs):
         if os.getpid() != cli_pid:
             os._exit(1)
-        return run(scenario)
+        return run(scenario, **kwargs)
 
     monkeypatch.setattr(kernel, "run", run_or_die)
     out = tmp_path / "out"
@@ -453,6 +476,115 @@ def test_a_sweep_child_that_dies_exits_3_with_one_error_line(tmp_path, monkeypat
     printed = capsys.readouterr()
     assert printed.out.startswith("ratio=")
     assert printed.err == "error: sweep child failed: exit code 1\n"
+
+
+def test_a_streamed_run_writes_what_an_unforked_one_does(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
+    rng = random.Random(1709)
+    scenarios = [SHARED]
+    for i in range(4):
+        scenarios.append(tmp_path / f"s{i}.json")
+        scenarios[-1].write_text(emit_scenario(random_scenario(rng)))
+    for i, sc in enumerate(scenarios):
+        assert any(c.total_delay > 0 for c in parse_scenario(sc.read_text()).connections)
+        with monkeypatch.context() as mp:
+            forks = record_forks(mp)
+            forked, unforked = _with_and_without_fork(tmp_path / str(i), mp, capsys,
+                                                      ["--scenario", str(sc)])
+        assert len(forks) == 1 and forked[0] == 0
+        assert forked == unforked
+
+
+def test_a_kernel_failure_in_a_streamed_run_leaves_an_earlier_runs_files(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
+    doc = json.loads(_underflowing_link(tmp_path).read_text())
+    doc["connections"][0]["active"] = [0, 299]   # underflows at round 166
+    sc = tmp_path / "underflow300.json"
+    sc.write_text(json.dumps(doc))
+    log = tmp_path / "rows.log"
+    fd = _appending_log(log)
+    append = kernel._append_rows
+
+    def append_and_log(files, lo, hi):
+        os.write(fd, f"{os.getpid()} {hi}\n".encode())
+        append(files, lo, hi)
+
+    run = kernel.run
+
+    def run_past_the_first_chunk(scenario, on_round=None):
+        def hook(trace, t):
+            on_round(trace, t)
+            deadline = time.monotonic() + 30
+            while t == 6 and not log.read_text() and time.monotonic() < deadline:
+                time.sleep(0.001)   # until the child has written rows 0..6
+
+        return run(scenario, on_round=on_round and hook)
+
+    monkeypatch.setattr(kernel, "_append_rows", append_and_log)
+    monkeypatch.setattr(kernel, "run", run_past_the_first_chunk)
+    for name in ("forked", "unforked"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "path_flow.csv").write_text("from an earlier run\n")
+    try:
+        forked, unforked = _with_and_without_fork(tmp_path, monkeypatch, capsys,
+                                                  ["--scenario", str(sc)])
+    finally:
+        os.close(fd)
+    # only the forked run's child wrote rows, before the kernel failed
+    writers = {line.split()[0] for line in log.read_text().splitlines()}
+    assert len(writers) == 1 and str(os.getpid()) not in writers
+    assert forked == (3, "", "error: path 'flow' round 166: non-positive send rate 0.0\n",
+                      {"path_flow.csv": b"from an earlier run\n"})
+    assert forked == unforked
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` runs; an orphan that has exited stays a zombie until
+    whoever adopted it reaps it."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+def test_a_cli_process_killed_mid_kernel_leaves_no_export_child_running(tmp_path):
+    doc = json.loads(SINGLE.read_text())
+    doc["connections"][0]["active"] = [0, 299_999]
+    sc = tmp_path / "long.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    # the CLI process prints the pid of each process it forks
+    script = ("import os, sys\n"
+              "from mimdsim import cli\n"
+              "fork = os.fork\n"
+              "def announce():\n"
+              "    pid = fork()\n"
+              "    if pid:\n"
+              "        print(pid, flush=True)\n"
+              "    return pid\n"
+              "os.fork = announce\n"
+              "cli.main(sys.argv[1:])\n")
+    proc = subprocess.Popen([sys.executable, "-c", script, "--scenario", str(sc), "--out", str(out)],
+                            stdout=subprocess.PIPE, text=True, env=_src_env())
+    try:
+        child = int(proc.stdout.readline())
+        deadline = time.monotonic() + 60
+        while not (out / ".path_flow.csv.part").exists():   # the first chunk is staged
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.002)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert not (out / "path_flow.csv").exists()
+    deadline = time.monotonic() + 60
+    while _running(child):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    assert list(out.iterdir()) == []   # the child removed what it had staged
 
 
 def test_sweep_rejected_outside_simulate_mode(tmp_path, capsys):

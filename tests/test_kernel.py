@@ -15,6 +15,7 @@ from conftest import (
     constant_resource,
     path_csv,
     random_scenario,
+    record_forks,
     resource_csv,
     simple_conn,
     single_link_scenario,
@@ -369,35 +370,41 @@ def _expected_csvs(trace) -> dict[str, bytes]:
     return want
 
 
-def _record_forks(monkeypatch) -> list[int]:
-    pids: list[int] = []
-    fork = os.fork
-
-    def recording_fork() -> int:
-        pid = fork()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
+def _streamed_run(scenario, outdir: Path, on_round=None):
+    """Run ``scenario`` with a CsvStream into ``outdir`` and finish the
+    export; ``on_round(stream, trace, t)``, if given, replaces the hook."""
+    with kernel.CsvStream(outdir) as stream:
+        hook = stream if on_round is None else lambda trace, t: on_round(stream, trace, t)
+        trace = run(scenario, on_round=hook)
+        written = kernel.export_trace(trace, outdir)
+    return trace, written
 
 
-def test_split_export_writes_the_csv_strings_with_and_without_fork(tmp_path, monkeypatch):
+def test_streamed_csvs_equal_the_export_of_the_finished_trace(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
+    forks = record_forks(monkeypatch)
     rng = random.Random(808)
-    traces = [run(random_scenario(rng)) for _ in range(8)]
-    assert max(len(t.paths) + len(t.resources) for t in traces) >= 8
-    for label in ("fork", "nofork"):
-        if label == "nofork":
-            monkeypatch.delattr(os, "fork")
-        for i, trace in enumerate(traces):
-            want = _expected_csvs(trace)
-            out = tmp_path / f"{label}{i}"
-            assert [p.name for p in kernel.export_trace(trace, out)] == list(want)
-            assert {p.name: p.read_bytes() for p in out.iterdir()} == want
+    # 21 rows end on a chunk boundary; one file takes no helper
+    scenarios = [random_scenario(rng) for _ in range(8)]
+    scenarios += [single_link_scenario(duration=21, delay=2),
+                  Scenario(resources=(), epsilon=0.1,
+                           connections=(simple_conn("p", (), start_rate=3.0, end=30),))]
+    assert all(any(c.total_delay > 0 for c in sc.connections) for sc in scenarios[:9])
+    for i, sc in enumerate(scenarios):
+        out = tmp_path / f"streamed{i}"
+        trace, written = _streamed_run(sc, out)
+        assert trace.horizon + 1 > 2 * 7
+        want = _expected_csvs(trace)
+        assert [p.name for p in written] == list(want)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == want
+        finished = tmp_path / f"finished{i}"
+        kernel.export_trace(run(sc), finished)
+        assert {p.name: p.read_bytes() for p in finished.iterdir()} == want
+    assert len(forks) == len(scenarios)
 
 
 def test_a_one_file_trace_forks_nothing(tmp_path, monkeypatch):
-    forks = _record_forks(monkeypatch)
+    forks = record_forks(monkeypatch)
     sc = Scenario(
         resources=(),
         connections=(simple_conn("p", (), start_rate=3.0, end=4),),
@@ -409,99 +416,103 @@ def test_a_one_file_trace_forks_nothing(tmp_path, monkeypatch):
     assert forks == []
 
 
-def _fake_files(sizes: list[int]) -> list:
-    return [(Path(f"f{i}.csv"), None, ("c",) * size) for i, size in enumerate(sizes)]
-
-
-def test_the_export_split_is_as_even_as_brute_force_finds():
-    rng = random.Random(4242)
-    for _ in range(400):
-        files = _fake_files([rng.randint(1, 9) for _ in range(rng.randint(0, 12))])
-        sizes = [len(columns) for _, _, columns in files]
-        total = sum(sizes)
-        best = min(
-            abs(total - 2 * sum(s for j, s in enumerate(sizes) if mask >> j & 1))
-            for mask in range(1 << len(sizes))
-        )
-        mine, theirs = kernel._split_shares(files)
-        assert sorted(mine + theirs) == sorted(files)
-        ours, others = (sum(len(e[2]) for e in share) for share in (mine, theirs))
-        assert ours - others == best
-        if len(files) >= 2:
-            assert theirs
-
-
-def test_the_long_haul_export_splits_13_to_12_columns():
-    # four path files of 4 columns, three resource files of 3
-    mine, theirs = kernel._split_shares(_fake_files([4, 4, 4, 4, 3, 3, 3]))
-    assert [sum(len(e[2]) for e in share) for share in (mine, theirs)] == [13, 12]
-
-
 def test_the_export_child_is_reaped_after_success(tmp_path, monkeypatch):
-    forks = _record_forks(monkeypatch)
-    trace = run(single_link_scenario(duration=300))
-    kernel.export_trace(trace, tmp_path)
+    forks = record_forks(monkeypatch)
+    _streamed_run(single_link_scenario(duration=300), tmp_path)
     assert len(forks) == 1 and forks[0] > 0
     with pytest.raises(ChildProcessError):
         os.waitpid(forks[0], os.WNOHANG)
     assert_no_child_processes()
 
 
-def test_a_child_write_failure_raises_and_names_it(tmp_path, monkeypatch):
-    parent = os.getpid()
-    write = kernel._write_csvs
+def _in_children_only(monkeypatch, act) -> None:
+    """Make ``_append_rows`` call ``act()`` in any process but this one."""
+    parent, append = os.getpid(), kernel._append_rows
 
-    def full_disk_in_child(files, n_rounds):
+    def append_rows(files, lo, hi):
         if os.getpid() != parent:
-            raise OSError(28, "No space left on device")
-        write(files, n_rounds)
+            act()
+        append(files, lo, hi)
 
-    monkeypatch.setattr(kernel, "_write_csvs", full_disk_in_child)
-    with pytest.raises(OSError, match=r"child failed: OSError: \[Errno 28\] No space left"):
-        kernel.export_trace(run(single_link_scenario(duration=50)), tmp_path)
+    monkeypatch.setattr(kernel, "_append_rows", append_rows)
+
+
+def _no_space():
+    raise OSError(28, "No space left on device")
+
+
+def test_a_child_write_failure_raises_and_names_it(tmp_path, monkeypatch):
+    # the child fails on its first chunk; the rounds published after it has
+    # exited meet a closed pipe, and that is not the error reported
+    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
+    forks = record_forks(monkeypatch)
+    _in_children_only(monkeypatch, _no_space)
+    rounds_run = []
+
+    def wait_for_the_childs_exit(stream, trace, t):
+        if t == 7:
+            os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+        stream(trace, t)
+        rounds_run.append(t)
+
+    with pytest.raises(OSError, match=r"^trace export child failed: OSError: \[Errno 28\] No space"):
+        _streamed_run(single_link_scenario(duration=50), tmp_path, wait_for_the_childs_exit)
+    assert max(rounds_run) == 49
+    assert list(tmp_path.iterdir()) == []
     assert_no_child_processes()
 
 
 def test_a_child_that_exits_without_a_message_is_reported_by_exit_code(tmp_path, monkeypatch):
-    parent = os.getpid()
-    write = kernel._write_csvs
-
-    def exit_in_child(files, n_rounds):
-        if os.getpid() != parent:
-            os._exit(4)
-        write(files, n_rounds)
-
-    monkeypatch.setattr(kernel, "_write_csvs", exit_in_child)
+    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
+    _in_children_only(monkeypatch, lambda: os._exit(4))
     with pytest.raises(OSError, match=r"^trace export child failed: exit code 4$"):
-        kernel.export_trace(run(single_link_scenario(duration=50)), tmp_path)
+        _streamed_run(single_link_scenario(duration=50), tmp_path)
+    assert list(tmp_path.iterdir()) == []
     assert_no_child_processes()
 
 
-def test_a_child_write_failure_exits_3_with_one_error_line(tmp_path, capsys):
+def test_a_helper_failure_is_named_by_the_child(tmp_path, monkeypatch):
+    # the last rows are split between the child and its helper
+    parent, append = os.getpid(), kernel._append_rows
+
+    def append_rows(files, lo, hi):
+        if os.getpid() != parent and files[0][0].name == ".resource_link.csv.part":
+            _no_space()
+        append(files, lo, hi)
+
+    monkeypatch.setattr(kernel, "_append_rows", append_rows)
+    with pytest.raises(OSError, match=r"^trace export child failed: OSError: trace export "
+                                      r"helper failed: OSError: \[Errno 28\] No space"):
+        _streamed_run(single_link_scenario(duration=50), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    assert_no_child_processes()
+
+
+def test_a_child_write_failure_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
     scenario = Path(__file__).resolve().parent.parent / "scenarios" / "single_link.json"
     out = tmp_path / "out"
-    (out / "resource_link.csv").mkdir(parents=True)   # in the child's share
+    (out / ".resource_link.csv.part").mkdir(parents=True)   # its staged name
     assert main(["--scenario", str(scenario), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: trace export child failed: IsADirectoryError")
     assert "resource_link.csv" in err and len(err.splitlines()) == 1
+    assert [p.name for p in out.iterdir()] == [".resource_link.csv.part"]
     assert_no_child_processes()
 
 
 def test_a_parent_share_failure_kills_and_reaps_the_child(tmp_path, monkeypatch):
-    parent = os.getpid()
-
-    def fail_here_stall_there(files, n_rounds):
-        if os.getpid() != parent:
-            time.sleep(30)   # only a kill ends the child early
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(kernel, "_write_csvs", fail_here_stall_there)
+    # the kernel, this process's share, fails at round 166 while the child
+    # stalls on its first chunk
+    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
+    _in_children_only(monkeypatch, lambda: time.sleep(30))   # only a kill ends it early
     started = time.monotonic()
-    with pytest.raises(OSError, match="No space left") as info:
-        kernel.export_trace(run(single_link_scenario(duration=50)), tmp_path)
+    with pytest.raises(ProtocolError, match="round 166") as info:
+        _streamed_run(single_link_scenario(cap=0.0, duration=300, alpha=0.001, beta=0.99),
+                      tmp_path)
     assert "child" not in str(info.value)
     assert time.monotonic() - started < 15
+    assert list(tmp_path.iterdir()) == []
     assert_no_child_processes()
 
 

@@ -1,7 +1,7 @@
 """One owner per rule: one fork site, one module that turns hop delays into
-transit rounds, and one that splits loss events; no seed, since nothing in
-the model is random; and the LP libraries and pickle load only inside the
-calls that use them."""
+transit rounds, and one that splits loss events; a kernel that opens no
+file; no seed, since nothing in the model is random; and the LP libraries,
+pickle and mmap load only inside the calls that use them."""
 
 from __future__ import annotations
 
@@ -47,6 +47,17 @@ def test_loss_events_are_split_in_the_kernel_without_per_event_dicts():
     assert not [node for node in ast.walk(run) if isinstance(node, ast.DictComp)]
 
 
+def test_the_kernel_run_opens_no_file():
+    # the per-round hook may write files; run itself only calls it
+    run = next(node for node in _modules()["kernel.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    names = {node.id for node in ast.walk(run) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(run) if isinstance(node, ast.Attribute)}
+    assert not names & {"open", "Path", "os", "io", "shutil"}
+    assert not attrs & {"open", "mkdir", "touch", "unlink", "replace", "rename",
+                        "write_text", "write_bytes", "read_text", "read_bytes"}
+
+
 def test_no_module_reads_a_seed():
     readers = sorted(name for name, tree in _modules().items() for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute) and node.attr == "seed")
@@ -63,12 +74,12 @@ def _import_time_nodes(node: ast.AST):
             yield from _import_time_nodes(child)
 
 
-def test_no_module_imports_numpy_scipy_fractions_or_pickle_at_import_time():
+def test_no_module_imports_numpy_scipy_fractions_pickle_or_mmap_at_import_time():
     found = []
     for name, tree in _modules().items():
         for node in _import_time_nodes(tree):
             roots = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""])
             found += [(name, r) for r in roots
-                      if r.split(".")[0] in ("numpy", "scipy", "fractions", "pickle")]
+                      if r.split(".")[0] in ("numpy", "scipy", "fractions", "pickle", "mmap")]
     assert found == []

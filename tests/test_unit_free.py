@@ -122,6 +122,7 @@ def test_lp_rates_scale_exactly_by_any_power_of_two(seed, k):
     got = solve_opt(scaled(sc, factor))
     assert got.rates == {pid: rate * factor for pid, rate in want.rates.items()}
     assert got.opt_value == want.opt_value * factor
+    assert got.tight_constraints == want.tight_constraints
 
 
 def test_lps_that_highs_overshot_at_2_to_the_minus_20_solve_to_the_rescaled_optimum():
