@@ -169,17 +169,15 @@ def _measure_in_two(entries: list[_Entry], measured: list[audit.AuditReport]) ->
     CSV columns) first reaches half, leaving the child at least one; this
     process measures the head, the child the tail, each entry's CSVs
     written whole by the process that ran its kernel. The child writes
-    each entry into the ``kernel.staged`` name of its directory and sends
-    back its reports, pickled, and at its first failing entry that entry's
-    exception, and stops. Once the head has succeeded, the CSVs of the
-    tail's entries up to the failing one are moved into place, and that
-    exception is raised here once the reports before it are in
+    each entry into the ``kernel.staged`` name of its directory and
+    returns its reports and, at its first failing entry, that entry's
+    exception, where it stops. Once the head has succeeded, the CSVs of
+    the tail's entries up to the failing one are moved into place, and
+    that exception is raised here once the reports before it are in
     ``measured``. Whatever else is staged is removed (the whole tail, if
     the head fails and the child is killed), so the files left are those
     of a one-process run, an earlier run's files included.
     """
-    import pickle
-
     sizes = [(variant.horizon + 1) * sum(len(columns) for _, columns
                                          in kernel.csv_files(variant, sub))
              for variant, sub, _ in entries]
@@ -187,28 +185,21 @@ def _measure_in_two(entries: list[_Entry], measured: list[audit.AuditReport]) ->
     cut = min(next(i for i, so_far in enumerate(accumulate(sizes), 1) if 2 * so_far >= total),
               len(entries) - 1)
     head, tail = entries[:cut], entries[cut:]
-    read_fd, write_fd = os.pipe()
 
-    def measure_tail() -> None:
-        os.close(read_fd)
+    def measure_tail() -> tuple[list[audit.AuditReport], Exception | None]:
         done: list[audit.AuditReport] = []
-        failure = None
         try:
             for variant, sub, _ in tail:
                 done.append(_measure(variant, kernel.staged(sub), False))
         except Exception as exc:
-            failure = exc
-        with open(write_fd, "wb") as replies:
-            pickle.dump((done, failure), replies)
+            return done, exc
+        return done, None
 
     try:
-        with forked(measure_tail, "sweep child"):
-            os.close(write_fd)
-            with open(read_fd, "rb") as replies:
-                for variant, sub, _ in head:
-                    measured.append(_measure(variant, sub, False))
-                reply = replies.read()
-        done, failure = pickle.loads(reply)
+        with forked(measure_tail, "sweep child") as result:
+            for variant, sub, _ in head:
+                measured.append(_measure(variant, sub, False))
+            done, failure = result()
         # the tail's entries up to its failing one are those a one-process run reaches
         for variant, sub, _ in tail[:len(done) + (failure is not None)]:
             _unstage(variant, sub)
@@ -249,11 +240,14 @@ def cmd_simulate(entries: list[_Entry]) -> int:
     one forked child (``_measure_in_two``), and a one-entry run streams its
     CSVs from a child (``kernel.CsvStream``); otherwise it runs here, in
     entry order. Pass 2, here and in entry order, solves each LP and writes
-    ``optimum.json`` and ``audit.json``; it starts after every kernel, so a
-    forked LP worker imports scipy meanwhile, and it also finishes the
-    entries measured before a pass-1 failure. Either way stdout, stderr,
-    the exit code and the files left are those of running each entry in
-    turn, except that a pass-2 failure leaves later entries their CSVs.
+    ``optimum.json`` and ``audit.json``; it starts after every kernel, so
+    the LP worker (``optimum.lp_worker``) imports scipy and solves its LPs
+    meanwhile, and it also finishes the entries measured before a pass-1
+    failure. Either way stdout, stderr, the exit code and the files left
+    are those of running each entry in turn, except that a pass-2 failure
+    leaves later entries their CSVs. A CLI process killed after its kernel
+    has sent the last rows, or while its sweep child runs, leaves the
+    staged ``.part`` files behind.
     """
     measured: list[audit.AuditReport] = []
     reports: list[audit.AuditReport] = []

@@ -9,8 +9,9 @@ only information from earlier rounds; (2) each scheduled resource sums, once,
 the surviving cohorts its members sent at ``t - pre_delay`` and discards
 exactly the excess over capacity: proportional loss is split inline, every
 cohort losing the same fraction, and adversarial loss goes through
-``allocate_loss``; (3) cohorts reaching their destination are recorded and
-fed back to the source.
+``allocate_loss``, except where nothing passes and every cohort is lost
+whole under either policy; (3) cohorts reaching their destination are
+recorded and fed back to the source.
 
 Each cohort is stored once, in ``rcvd[s + total_delay]`` from its send round
 ``s`` on, and cut there in place by each loss event, so a cohort crossing
@@ -233,7 +234,8 @@ def run(scenario: Scenario,
                 k = cohorts[sizes.index(low)][0]
                 raise KernelError(f"negative contribution {low} from {ids[k]!r}")
             rho = excess / into
-            if adversarial:
+            # where nothing passes, every cohort is lost whole under either policy
+            if adversarial and excess < into:
                 # the most each path may lose here while its cumulative loss
                 # fraction stays within (1 + epsilon) times the loss ratios it
                 # traversed, this event included

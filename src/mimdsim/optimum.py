@@ -17,11 +17,12 @@ slack relative to each, and give the binding constraints: inclusive round
 ranges per resource, one per run of binding segments, so their size does
 not grow with the horizon.
 
-Only ``_highs``, the one call into HiGHS, and the worker that runs it
-import numpy and scipy; only ``_exact`` imports fractions. Inside
-``with lp_worker(scenarios):`` that call runs in a forked worker process,
-which imports scipy as soon as it starts, beside the caller's own work;
-``_fork.forked`` owns its fork, kill and reap.
+Only ``_highs``, the one call into HiGHS, imports numpy and scipy; only
+``_exact`` imports fractions. ``with lp_worker(scenarios):`` solves the
+HiGHS LPs of ``scenarios`` up front, in one forked worker that imports
+scipy beside the caller's own work, and ``solve_opt`` takes its answer
+from there; ``_fork.forked`` owns the worker's fork, kill and reap, and
+carries its answers back.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import cache, partial
 from pathlib import Path
 
 from ._fork import forked
@@ -132,83 +134,48 @@ def _exact(
     return 0, "optimal", [float(v) for v in x]
 
 
-_worker = None   # (requests, results) pipes of the open lp_worker, if any
+_solved = None   # (scenarios, result) of the open lp_worker, if any
 
 
-def _serve(requests, results) -> None:
-    """Worker loop: import scipy at once, then answer ``_highs`` calls until EOF."""
-    import pickle
-
-    try:
-        import scipy.optimize  # noqa: F401
-        import scipy.sparse  # noqa: F401
-    except ImportError:
-        pass   # _highs raises it again, and the caller is told
-    while True:
+def _solve_all(scenarios: list[Scenario]) -> list[tuple[int, str, list[float] | None] | None]:
+    """The LP worker: ``_highs``'s answer to the LP of each of ``scenarios``,
+    None for an unbounded one."""
+    answers = []
+    for scenario in scenarios:
         try:
-            args = pickle.load(requests)
-        except EOFError:
-            return
-        try:
-            reply = (True, _highs(*args))
-        except Exception as exc:
-            reply = (False, repr(exc))
-        pickle.dump(reply, results)
-        results.flush()
+            answers.append(_highs(*_lp(scenario)[2]))
+        except UnboundedOptimumError:
+            answers.append(None)
+    return answers
 
 
 @contextmanager
 def lp_worker(scenarios: list[Scenario]):
-    """Send every ``_highs`` call made inside the block to one forked worker.
+    """Solve, up front and in one forked worker, the LPs of ``scenarios``
+    that go to HiGHS (``_exact_route``), for ``solve_opt`` calls inside the
+    block.
 
-    The worker is forked through ``_fork.forked``, and starts importing
-    scipy, on entry, if some of ``scenarios`` has an LP that goes to HiGHS
-    (``_exact_route``). On exit its request pipe is closed and it is reaped;
-    when the block raises, it is killed first. A worker that exits non-zero
-    under a clean block raises ``OSError("LP worker failed: ...")``. A worker
-    whose parent dies reads EOF and exits. Where the platform has no
-    ``fork``, the block solves in-process. Enter it only in a process that
-    runs no other thread, since the fork copies just the calling one.
+    On entry, if there are any, the worker is forked through
+    ``_fork.forked``; it imports scipy and solves each in turn, while the
+    block runs. A ``solve_opt`` call that needs one of these answers waits
+    for all of them; a worker that failed then raises ``OSError("LP worker
+    failed: ...")``, as it does at the end of a clean block if no call
+    waited. The worker is reaped on every path, and killed first when the
+    block raises. Other scenarios, and every one where the platform has no
+    ``fork``, are solved in-process. Enter it only in a process that runs
+    no other thread, since the fork copies just the calling one.
     """
-    global _worker
-    if not hasattr(os, "fork") or all(map(_exact_route, scenarios)):
+    global _solved
+    wide = [scenario for scenario in scenarios if not _exact_route(scenario)]
+    if not hasattr(os, "fork") or not wide:
         yield
         return
-    req_r, req_w = os.pipe()
-    res_r, res_w = os.pipe()
-
-    def serve() -> None:
-        os.close(req_w)
-        os.close(res_r)
-        with open(req_r, "rb") as requests, open(res_w, "wb") as results:
-            _serve(requests, results)
-
-    with forked(serve, "LP worker"):
-        os.close(req_r)
-        os.close(res_w)
-        with open(req_w, "wb") as requests, open(res_r, "rb") as results:
-            _worker = (requests, results)
-            try:
-                yield
-            finally:
-                _worker = None
-
-
-def _solve_lp(*args) -> tuple[int, str, list[float] | None]:
-    if _worker is None:
-        return _highs(*args)
-    import pickle
-
-    requests, results = _worker
-    try:
-        pickle.dump(args, requests)
-        requests.flush()
-        ok, reply = pickle.load(results)
-    except (OSError, EOFError, pickle.UnpicklingError) as exc:
-        raise OptimumError(f"LP worker died: {exc!r}") from exc
-    if not ok:
-        raise OptimumError(f"LP worker failed: {reply}")
-    return reply
+    with forked(partial(_solve_all, wide), "LP worker") as result:
+        _solved = (wide, cache(result))
+        try:
+            yield
+        finally:
+            _solved = None
 
 
 @dataclass(frozen=True)
@@ -274,23 +241,14 @@ def _tight_ranges(
     return tuple(ranges)
 
 
-def solve_opt(scenario: Scenario) -> OptimumSolution:
-    """Maximize total weighted throughput over fixed per-path rates.
-
-    The LP goes to ``_exact`` or HiGHS as ``_exact_route`` decides. Raises
-    UnboundedOptimumError when a positively weighted path traverses no
-    finite capacity. Paths with zero weight are assigned rate 0 (any
-    capacity they would use is better spent elsewhere).
-    """
-    require_valid(scenario)
-    conns = scenario.connections
+def _lp(scenario: Scenario) -> tuple[list[_Segment], list[int], tuple]:
+    """``scenario``'s segments, the connection of each LP column (every
+    positively weighted path) and the arguments that ``_exact`` and
+    ``_highs`` take. Raises UnboundedOptimumError when a column meets no
+    finite capacity."""
     weights = _weights(scenario)
     segments = _segments(scenario)
     var_of = [k for k, w in enumerate(weights) if w > 0]
-    rates = {c.id: 0.0 for c in conns}
-    if not var_of:
-        return OptimumSolution(rates, 0.0, _tight_ranges(segments, [0.0] * len(segments)))
-
     col = {k: j for j, k in enumerate(var_of)}
     rows: dict[tuple[int, ...], float] = {}
     for seg in segments:
@@ -308,24 +266,45 @@ def solve_opt(scenario: Scenario) -> OptimumSolution:
     for k in var_of:
         if col[k] not in constrained:
             raise UnboundedOptimumError(
-                f"unbounded: path {conns[k].id!r} meets no finite capacity"
+                f"unbounded: path {scenario.connections[k].id!r} meets no finite capacity"
             )
 
     ordered = sorted(rows.items())
-    solve = _exact if _exact_route(scenario) else _solve_lp
-    status, message, x = solve(
-        [-weights[k] for k in var_of],
-        [members for members, _ in ordered],
-        [cap for _, cap in ordered],
-        len(var_of),
-    )
+    return segments, var_of, ([-weights[k] for k in var_of],
+                              [members for members, _ in ordered],
+                              [cap for _, cap in ordered],
+                              len(var_of))
+
+
+def solve_opt(scenario: Scenario) -> OptimumSolution:
+    """Maximize total weighted throughput over fixed per-path rates.
+
+    The LP goes to ``_exact`` or HiGHS as ``_exact_route`` decides; inside
+    ``lp_worker`` the worker's answer, if it has one, stands for HiGHS's.
+    Raises UnboundedOptimumError when a positively weighted path traverses
+    no finite capacity. Paths with zero weight are assigned rate 0 (any
+    capacity they would use is better spent elsewhere).
+    """
+    require_valid(scenario)
+    conns = scenario.connections
+    segments, var_of, args = _lp(scenario)
+    rates = {c.id: 0.0 for c in conns}
+    if not var_of:
+        return OptimumSolution(rates, 0.0, _tight_ranges(segments, [0.0] * len(segments)))
+
+    if _exact_route(scenario):
+        status, message, x = _exact(*args)
+    elif _solved is not None and scenario in _solved[0]:
+        status, message, x = _solved[1]()[_solved[0].index(scenario)]
+    else:
+        status, message, x = _highs(*args)
     if status == 3:
         raise UnboundedOptimumError("unbounded")
     if status != 0:
         raise OptimumError(f"LP solve failed with status {status}: {message}")
 
-    for k in var_of:
-        rates[conns[k].id] = max(0.0, x[col[k]])
+    for j, k in enumerate(var_of):
+        rates[conns[k].id] = max(0.0, x[j])
     loads = [math.fsum(rates[conns[k].id] for k in seg.active) for seg in segments]
     for seg, load in zip(segments, loads):
         # rounding may overshoot a capacity by a few ULPs, so the slack is
@@ -335,7 +314,7 @@ def solve_opt(scenario: Scenario) -> OptimumSolution:
                 f"infeasible LP answer at {seg.resource_id!r} rounds "
                 f"[{seg.lo},{seg.hi}): load {load} > cap {seg.cap}"
             )
-    value = math.fsum(weights[k] * rates[conns[k].id] for k in range(len(conns)))
+    value = math.fsum(w * rates[c.id] for w, c in zip(_weights(scenario), conns))
     return OptimumSolution(rates, value, _tight_ranges(segments, loads))
 
 

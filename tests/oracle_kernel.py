@@ -225,7 +225,8 @@ def allocate_loss(
     max(0, sum(contributions) - cap). Proportional: every path loses the
     same fraction. Adversarial: the target absorbs as much as its fairness
     budget allows, the rest is spread proportionally over the others within
-    their own budgets.
+    their own budgets. Where nothing passes, every path loses all it put in
+    under either policy.
     """
     for pid, c in contributions.items():
         if c < 0:
@@ -236,7 +237,8 @@ def allocate_loss(
     if excess <= 0 or into <= 0:
         return losses
 
-    if isinstance(policy, ProportionalLoss):
+    # where nothing passes, every path loses its whole contribution
+    if isinstance(policy, ProportionalLoss) or excess >= into:
         ratio = excess / into
         for pid, c in contributions.items():
             losses[pid] = c * ratio

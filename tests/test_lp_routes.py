@@ -32,7 +32,7 @@ def _lps(scenarios):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimum, "_exact", record)
-        patch.setattr(optimum, "_solve_lp", record)
+        patch.setattr(optimum, "_highs", record)
         for sc in scenarios:
             try:
                 solve_opt(sc)

@@ -1,7 +1,7 @@
 """The forked LP worker: same answers as in-process, reaped on every path,
-and solver failures in it surface as OptimumError. It serves only LPs of
-more than ``EXACT_MAX_COLUMNS`` weighted paths, so these tests draw 9-12
-paths; below that no worker is forked at all."""
+and a failure in it ends a CLI run with one ``error: LP worker failed``
+line. It solves only LPs of more than ``EXACT_MAX_COLUMNS`` weighted paths,
+so these tests draw 9-12 paths; below that no worker is forked at all."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ def _dying_highs(*args):
     os._exit(7)
 
 
-def _dying_serve(requests, results):
+def _dying_solve_all(scenarios):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -72,7 +72,7 @@ def test_worker_solutions_equal_in_process_solutions_exactly():
     assert not any(map(optimum._exact_route, scenarios))
     want = [_outcome(sc) for sc in scenarios]
     with lp_worker(scenarios):
-        assert optimum._worker is not None
+        assert optimum._solved is not None
         got = [_outcome(sc) for sc in scenarios]
     assert got == want
     assert sum(1 for o in want if len(o) == 3) >= 60
@@ -85,13 +85,13 @@ def test_worker_is_reaped_after_a_normal_run(tmp_path):
 
 def test_no_worker_is_forked_when_every_lp_is_solved_exactly(monkeypatch, tmp_path):
     marker = tmp_path / "forked"
-    serve = optimum._serve
+    solve_all = optimum._solve_all
 
-    def marking_serve(requests, results):
+    def marking_solve_all(scenarios):
         marker.write_text("LP worker started")
-        serve(requests, results)
+        return solve_all(scenarios)
 
-    monkeypatch.setattr(optimum, "_serve", marking_serve)
+    monkeypatch.setattr(optimum, "_solve_all", marking_solve_all)
     assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "o")]) == 0
     assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "s"),
                  "--sweep-duration", "1,2"]) == 0
@@ -120,35 +120,37 @@ def test_worker_is_reaped_after_a_validation_failure(tmp_path, capsys):
     assert_no_child_processes()
 
 
-def test_a_solver_error_in_the_worker_is_an_optimum_error(monkeypatch, tmp_path, capsys):
+def test_a_solver_error_in_the_worker_is_named_and_exits_3(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(optimum, "_highs", _failing_highs)
     sc = _wide(random.Random(3))
-    with lp_worker([sc]):
-        with pytest.raises(OptimumError, match="highs failed in pid") as info:
-            solve_opt(sc)
+    with pytest.raises(OSError, match="^LP worker failed: RuntimeError: highs failed in pid"):
+        with lp_worker([sc]):
+            with pytest.raises(OSError, match="highs failed in pid") as info:
+                solve_opt(sc)
     assert int(re.search(r"pid (\d+)", str(info.value)).group(1)) != os.getpid()
 
     wide = str(_wide_file(tmp_path, sc))
     assert main(["--scenario", wide, "--mode", "opt", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: LP worker failed") and "Traceback" not in err
+    assert re.fullmatch(r"error: LP worker failed: RuntimeError: highs failed in pid \d+\n", err)
     assert_no_child_processes()
 
 
-def test_a_worker_that_dies_is_an_optimum_error(monkeypatch, tmp_path, capsys):
+def test_a_worker_that_dies_while_awaited_exits_3_with_one_error_line(
+        monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(optimum, "_highs", _dying_highs)
     assert main(["--scenario", str(_wide_file(tmp_path)), "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err.startswith("error: LP worker died")
+    assert capsys.readouterr().err == "error: LP worker failed: exit code 7\n"
     assert_no_child_processes()
 
 
 def test_a_worker_that_dies_idle_under_a_clean_block_exits_3(monkeypatch, tmp_path, capsys):
     # with no finite capacity the 9-path LP is unbounded before any solve,
-    # so the run sends the worker no request and its death shows only in
-    # its exit status
+    # so the run never waits for the worker's answers and its death shows
+    # only in its exit status
     sc = _wide(random.Random(3))
     sc = replace(sc, resources=tuple(constant_resource(r.id, math.inf) for r in sc.resources))
-    monkeypatch.setattr(optimum, "_serve", _dying_serve)
+    monkeypatch.setattr(optimum, "_solve_all", _dying_solve_all)
     assert main(["--scenario", str(_wide_file(tmp_path, sc)), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == (
         "warning: optimum not computed: unbounded: path 'p0' meets no finite capacity\n"

@@ -1,7 +1,9 @@
-"""One owner per rule: one fork site, one module that turns hop delays into
-transit rounds, and one that splits loss events; a kernel that opens no
-file; no seed, since nothing in the model is random; and the LP libraries,
-pickle and mmap load only inside the calls that use them."""
+"""One owner per rule: one fork site, which alone pickles what a child
+sends back; pipes only there and for the export child's row counts; one
+module that turns hop delays into transit rounds, and one that splits loss
+events; a kernel that opens no file; no seed, since nothing in the model is
+random; and the LP libraries, pickle and mmap load only inside the calls
+that use them."""
 
 from __future__ import annotations
 
@@ -24,6 +26,21 @@ def test_os_fork_is_called_only_in_the_fork_helper():
         if calls:
             sites[name] = len(calls)
     assert sites == {"_fork.py": 1}
+
+
+def test_only_the_fork_helper_imports_pickle():
+    importers = sorted(name for name, tree in _modules().items() for node in ast.walk(tree)
+                       if isinstance(node, ast.Import)
+                       and "pickle" in (alias.name.split(".")[0] for alias in node.names)
+                       or isinstance(node, ast.ImportFrom)
+                       and (node.module or "").split(".")[0] == "pickle")
+    assert importers == ["_fork.py"]
+
+
+def test_os_pipe_is_called_only_in_the_fork_helper_and_the_export_stream():
+    sites = sorted(name for name, tree in _modules().items() for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "pipe")
+    assert sites == ["_fork.py", "kernel.py"]
 
 
 def test_only_the_model_reads_hop_delays_or_pre_delays():

@@ -141,7 +141,7 @@ def test_loads_a_few_ulps_over_pass_and_1e_11_over_fail_at_any_scale(k, monkeypa
     # each route through the function that solve_opt calls for it
     exact = scaled(random_scenario(random.Random(3)), 2.0**k)
     highs = scaled(lp_instance(random.Random(3), n_paths=9), 2.0**k)
-    for sc, route in ((exact, "_exact"), (highs, "_solve_lp")):
+    for sc, route in ((exact, "_exact"), (highs, "_highs")):
         assert optimum._exact_route(sc) == (route == "_exact")
         assert solve_opt(sc).tight_constraints
         real = getattr(optimum, route)
