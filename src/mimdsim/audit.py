@@ -115,9 +115,11 @@ def theorem_parameters(epsilon: float, val: float) -> tuple[float, float]:
 
 
 def competitive_ratio(trace: RunTrace, opt: OptimumSolution | None) -> AuditReport:
-    """Assemble the full report; opt may be None when it was unbounded or is
-    not known yet (see ``finish``). One pass over the connections reads each
-    path's record and arrival window once and fills every per-path field."""
+    """Assemble the full report; opt may be None when it was unbounded, and
+    then ``opt_value`` and ``competitive_ratio`` are None too. One pass over
+    the connections reads each path's record and arrival window once and
+    fills every per-path field. Raises AuditError when ``opt`` is 0 against
+    a positive throughput."""
     scenario = trace.scenario
     throughput_terms = []
     lemma1: dict[str, float] = {}
@@ -163,43 +165,36 @@ def competitive_ratio(trace: RunTrace, opt: OptimumSolution | None) -> AuditRepo
             )
 
     total_lost_paths, total_lost_resources = loss_totals(trace)
+    throughput = math.fsum(throughput_terms)
+    eps_hat = measure_fairness(trace)
+    ratio = None
+    if opt is not None:
+        if opt.opt_value <= 0.0:
+            if throughput > 1e-9:
+                raise AuditError(
+                    f"positive throughput {throughput} against opt_value 0: "
+                    "the optimum and the trace cannot come from the same scenario"
+                )
+            ratio = 0.0
+        else:
+            ratio = throughput / opt.opt_value
     finite_c = [v for v in per_path_c.values() if v is not None]
-    report = AuditReport(
-        weighted_throughput=math.fsum(throughput_terms),
+    return AuditReport(
+        weighted_throughput=throughput,
         total_lost_paths=total_lost_paths,
         total_lost_resources=total_lost_resources,
         lemma1_slack=lemma1,
         lemma3_slack=lemma3,
-        measured_epsilon_hat=measure_fairness(trace),
+        measured_epsilon_hat=eps_hat,
         U=peaks,
         b=min(per_path_b.values()) if per_path_b else None,
         c=min(finite_c) if finite_c else None,
         per_path_b=per_path_b,
         per_path_c=per_path_c,
         duration_threshold=max(threshold_terms) if threshold_terms else None,
-        opt_value=None,
-        competitive_ratio=None,
+        opt_value=None if opt is None else opt.opt_value,
+        competitive_ratio=ratio,
     )
-    return finish(report, opt)
-
-
-def finish(report: AuditReport, opt: OptimumSolution | None) -> AuditReport:
-    """``report`` with ``opt_value`` and ``competitive_ratio`` from ``opt``:
-    ``finish(competitive_ratio(trace, None), opt)`` equals
-    ``competitive_ratio(trace, opt)``, so the trace need not outlive it."""
-    if opt is None:
-        return replace(report, opt_value=None, competitive_ratio=None)
-    throughput = report.weighted_throughput
-    if opt.opt_value <= 0.0:
-        if throughput > 1e-9:
-            raise AuditError(
-                f"positive throughput {throughput} against opt_value 0: "
-                "the optimum and the trace cannot come from the same scenario"
-            )
-        ratio = 0.0
-    else:
-        ratio = throughput / opt.opt_value
-    return replace(report, opt_value=opt.opt_value, competitive_ratio=ratio)
 
 
 def solve_or_none(scenario: Scenario) -> tuple[OptimumSolution | None, str | None]:

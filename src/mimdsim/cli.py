@@ -8,11 +8,12 @@ reproduced with direct library calls. Exit codes are stable: 0 success,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext, redirect_stderr, suppress
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
@@ -82,31 +83,25 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario
 
 
-def _measure(scenario: Scenario, outdir: Path, stream: bool) -> audit.AuditReport:
-    """Pass 1 of one entry: the trace CSVs and every audit field the trace
-    gives; the trace is dropped on return.
+def _run_entry(scenario: Scenario, outdir: Path, stream: bool) -> audit.AuditReport:
+    """Run one entry whole: its kernel, trace CSVs, LP and audit, then
+    ``optimum.json`` (or the unbounded warning) and ``audit.json``; the
+    trace is dropped on return.
 
     With ``stream``, a ``kernel.CsvStream`` child writes the CSVs while the
-    kernel runs and then while this process audits.
+    kernel runs and then while this process solves and audits.
     """
     with kernel.CsvStream(outdir) if stream else nullcontext() as on_round:
         trace = kernel.run(scenario, on_round=on_round)
         try:
-            return audit.competitive_ratio(trace, None)
+            solution, opt_note = audit.solve_or_none(scenario)
+            report = audit.competitive_ratio(trace, solution)
         finally:
             kernel.export_trace(trace, outdir)
-
-
-def _finish(scenario: Scenario, outdir: Path,
-            measured: audit.AuditReport) -> audit.AuditReport:
-    """Pass 2 of one entry: ``optimum.json`` (or the unbounded warning), then
-    ``audit.json``."""
-    solution, opt_note = audit.solve_or_none(scenario)
     if solution is not None:
         optimum.export_solution(solution, outdir / "optimum.json")
     else:
         print(f"warning: optimum not computed: {opt_note}", file=sys.stderr)
-    report = audit.finish(measured, solution)
     audit.export_report(report, outdir / "audit.json")
     return report
 
@@ -160,23 +155,32 @@ def _simulate_entries(scenario: Scenario, outdir: Path,
     return entries
 
 
-def _measure_in_two(entries: list[_Entry], measured: list[audit.AuditReport]) -> None:
-    """Pass 1 of a sweep, in this process and one child forked through
-    ``_fork.forked``, appending each entry's report to ``measured`` in entry
+def _run_in_order(entries: list[_Entry], reports: list[audit.AuditReport],
+                  stream: bool) -> None:
+    """Run ``entries`` whole, in order, here, appending each report to
+    ``reports``; the base summary line is printed right after entry 0."""
+    for variant, sub, _ in entries:
+        reports.append(_run_entry(variant, sub, stream))
+        if len(reports) == 1:
+            print(audit.summary_line(reports[0]))
+
+
+def _run_in_two(entries: list[_Entry], reports: list[audit.AuditReport]) -> None:
+    """A sweep, in this process and one child forked through
+    ``_fork.forked``, appending each entry's report to ``reports`` in entry
     order.
 
     The entries are cut where the running sum of their sizes (rows times
     CSV columns) first reaches half, leaving the child at least one; this
-    process measures the head, the child the tail, each entry's CSVs
-    written whole by the process that ran its kernel. The child writes
-    each entry into the ``kernel.staged`` name of its directory and
-    returns its reports and, at its first failing entry, that entry's
-    exception, where it stops. Once the head has succeeded, the CSVs of
-    the tail's entries up to the failing one are moved into place, and
-    that exception is raised here once the reports before it are in
-    ``measured``. Whatever else is staged is removed (the whole tail, if
-    the head fails and the child is killed), so the files left are those
-    of a one-process run, an earlier run's files included.
+    process runs the head, the child the tail, each entry whole. The child
+    writes each entry's files into the ``kernel.staged`` name of its
+    directory and returns its reports, its stderr text and the exception of
+    its first failing entry, where it stops. Once the head has succeeded,
+    the files of the tail's entries up to that one are moved into place,
+    the text is written and the exception raised. Whatever else is staged
+    is removed (the whole tail, if the head fails and the child is killed),
+    so the files left are those of a one-process run, an earlier run's
+    files included.
     """
     sizes = [(variant.horizon + 1) * sum(len(columns) for _, columns
                                          in kernel.csv_files(variant, sub))
@@ -186,83 +190,76 @@ def _measure_in_two(entries: list[_Entry], measured: list[audit.AuditReport]) ->
               len(entries) - 1)
     head, tail = entries[:cut], entries[cut:]
 
-    def measure_tail() -> tuple[list[audit.AuditReport], Exception | None]:
+    def run_tail() -> tuple[list[audit.AuditReport], str, Exception | None]:
         done: list[audit.AuditReport] = []
-        try:
-            for variant, sub, _ in tail:
-                done.append(_measure(variant, kernel.staged(sub), False))
-        except Exception as exc:
-            return done, exc
-        return done, None
+        with redirect_stderr(io.StringIO()) as text:
+            try:
+                for variant, sub, _ in tail:
+                    done.append(_run_entry(variant, kernel.staged(sub), False))
+            except Exception as exc:
+                return done, text.getvalue(), exc
+        return done, text.getvalue(), None
 
     try:
-        with forked(measure_tail, "sweep child") as result:
-            for variant, sub, _ in head:
-                measured.append(_measure(variant, sub, False))
-            done, failure = result()
+        with forked(run_tail, "sweep child") as result:
+            _run_in_order(head, reports, False)
+            done, text, failure = result()
         # the tail's entries up to its failing one are those a one-process run reaches
         for variant, sub, _ in tail[:len(done) + (failure is not None)]:
             _unstage(variant, sub)
     finally:
         for variant, sub, _ in tail:
             _remove_stage(variant, sub)
-    measured += done
+    reports += done
+    sys.stderr.write(text)
     if failure is not None:
         raise failure
 
 
+def _entry_files(variant: Scenario, sub: Path) -> list[Path]:
+    """Every file ``_run_entry`` writes for ``variant`` into ``sub``."""
+    return ([path for path, _ in kernel.csv_files(variant, sub)]
+            + [sub / "optimum.json", sub / "audit.json"])
+
+
 def _unstage(variant: Scenario, sub: Path) -> None:
-    """Move the CSVs the sweep child wrote for one entry into ``sub``,
+    """Move the files the sweep child wrote for one entry into ``sub``,
     creating it as ``kernel.export_trace`` would have."""
     stage = kernel.staged(sub)
     if not stage.is_dir():   # its kernel failed
         return
     sub.mkdir(exist_ok=True)
-    for path, _ in kernel.csv_files(variant, sub):
-        with suppress(FileNotFoundError):   # its export failed before this file
+    for path in _entry_files(variant, sub):
+        with suppress(FileNotFoundError):   # its entry failed before this file
             os.replace(stage / path.name, path)
 
 
 def _remove_stage(variant: Scenario, sub: Path) -> None:
     stage = kernel.staged(sub)
     with suppress(OSError):
-        for path, _ in kernel.csv_files(variant, stage):
+        for path in _entry_files(variant, stage):
             path.unlink(missing_ok=True)
         stage.rmdir()
 
 
 def cmd_simulate(entries: list[_Entry]) -> int:
-    """Run every entry of ``_simulate_entries``; a sweep's summary goes into
-    the base entry's directory.
+    """Run every entry of ``_simulate_entries`` whole (``_run_entry``), in
+    entry order; a sweep's summary goes into the base entry's directory.
 
-    Pass 1 runs each entry's kernel, CSVs and trace audit. Where the
-    platform has ``fork``, a sweep's pass 1 is split over this process and
-    one forked child (``_measure_in_two``), and a one-entry run streams its
-    CSVs from a child (``kernel.CsvStream``); otherwise it runs here, in
-    entry order. Pass 2, here and in entry order, solves each LP and writes
-    ``optimum.json`` and ``audit.json``; it starts after every kernel, so
-    the LP worker (``optimum.lp_worker``) imports scipy and solves its LPs
-    meanwhile, and it also finishes the entries measured before a pass-1
-    failure. Either way stdout, stderr, the exit code and the files left
-    are those of running each entry in turn, except that a pass-2 failure
-    leaves later entries their CSVs. A CLI process killed after its kernel
-    has sent the last rows, or while its sweep child runs, leaves the
-    staged ``.part`` files behind.
+    Where the platform has ``fork``, a sweep is split over this process and
+    one forked child (``_run_in_two``), and a one-entry run streams its
+    CSVs from a child (``kernel.CsvStream``); otherwise every entry runs
+    here. Either way stdout, stderr, the exit code and the files left are
+    those of running each entry in turn. A CLI process killed after its
+    kernel has sent the last rows, or while its sweep child runs, leaves
+    the staged ``.part`` files behind.
     """
-    measured: list[audit.AuditReport] = []
     reports: list[audit.AuditReport] = []
     forking = hasattr(os, "fork")
-    try:
-        if len(entries) > 1 and forking:
-            _measure_in_two(entries, measured)
-        else:
-            for variant, sub, _ in entries:
-                measured.append(_measure(variant, sub, forking))
-    finally:
-        for (variant, sub, _), report in zip(entries, measured):
-            reports.append(_finish(variant, sub, report))
-            if len(reports) == 1:
-                print(audit.summary_line(reports[0]))
+    if len(entries) > 1 and forking:
+        _run_in_two(entries, reports)
+    else:
+        _run_in_order(entries, reports, forking)
 
     if len(entries) == 1:
         return EXIT_OK
@@ -330,9 +327,10 @@ def main(argv: list[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise UsageError(f"output directory is not writable: {exc}") from exc
-        # bwtest solves the equalized copy, so its LP decides on the worker
+        # bwtest solves the equalized copy, so its LP decides on the worker;
+        # a sweep solves each LP in the process that runs its entry
         lp_scenarios = ([audit.equalized(scenario)] if args.mode == "bwtest"
-                        else [variant for variant, _, _ in entries])
+                        else [scenario] if len(entries) == 1 else [])
         with optimum.lp_worker(lp_scenarios):
             if args.mode == "simulate":
                 return cmd_simulate(entries)

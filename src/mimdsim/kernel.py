@@ -117,23 +117,22 @@ def allocate_loss(
     caps = [min(c, b) for c, b in zip(sizes, max_loss)]
     active = [j for j, cap in enumerate(caps) if j != target and cap > 0]
     tol = 1e-15 * into
+    # an active cohort has lost nothing yet, and its size is at least its cap > 0
     while need > tol and active:
         total_w = math.fsum(sizes[j] for j in active)
-        if total_w <= 0:
-            break
         # need * size leaves the normal floats past about 1e154 and below
         # about 1e-154; only there divide first
         shares = [part / total_w if _NORMAL_MIN <= (part := need * sizes[j]) < math.inf
                   else need * (sizes[j] / total_w) for j in active]
-        clamped = [j for j, share in zip(active, shares) if share >= caps[j] - losses[j]]
+        clamped = [j for j, share in zip(active, shares) if share >= caps[j]]
         if clamped:
             for j in clamped:
-                need -= caps[j] - losses[j]
+                need -= caps[j]
                 losses[j] = caps[j]
                 active.remove(j)
             continue
         for j, share in zip(active, shares):
-            losses[j] += share
+            losses[j] = share
         break
     return losses
 

@@ -302,6 +302,12 @@ def validate(scenario: Scenario) -> list[Violation]:
             out.append(Violation(where, f"beta must lie in (0,1), got {c.beta}"))
         if not c.alpha < c.beta:
             out.append(Violation(where, "alpha must be < beta"))
+        elif c.alpha > 0 and 0 < c.start_rate < math.inf and not (
+                (1 + c.alpha) * c.start_rate > c.start_rate
+                and (c.beta - c.alpha) * c.start_rate > 0):
+            out.append(Violation(where, f"start_rate {c.start_rate!r} is too small: (1 + alpha) * "
+                                 "start_rate must exceed it and (beta - alpha) * start_rate must "
+                                 "not round to 0"))
 
     if not 0.0 < scenario.epsilon < 1.0:
         out.append(Violation("scenario", f"epsilon must lie in (0,1), got {scenario.epsilon}"))

@@ -22,7 +22,8 @@ Only ``_highs``, the one call into HiGHS, imports numpy and scipy; only
 HiGHS LPs of ``scenarios`` up front, in one forked worker that imports
 scipy beside the caller's own work, and ``solve_opt`` takes its answer
 from there; ``_fork.forked`` owns the worker's fork, kill and reap, and
-carries its answers back.
+carries its answers back. The CLI enters it only for a run of one entry;
+a sweep solves each LP in the process that runs that entry.
 """
 
 from __future__ import annotations

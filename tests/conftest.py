@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import os
 import random
+from pathlib import Path
 
 import pytest
 
+from mimdsim.cli import main
 from mimdsim.kernel import _PATH_COLUMNS, _RESOURCE_COLUMNS, RunTrace, _csv_header, _csv_rows
 from mimdsim.model import (
     AdversarialFairLoss,
@@ -43,6 +45,26 @@ def record_forks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Every file's bytes and every directory (as ``None``) under ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def with_and_without_fork(tmp_path, monkeypatch, capsys, flags) -> list[tuple]:
+    """(exit code, stdout, stderr, output tree) of one CLI run with
+    ``os.fork`` and one without it."""
+    runs = []
+    for name in ("forked", "unforked"):
+        if name == "unforked":
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / name
+        code = main(["--out", str(out), *flags])
+        printed = capsys.readouterr()
+        runs.append((code, printed.out, printed.err, tree(out)))
+    return runs
 
 
 def path_csv(trace: RunTrace, path_id: str) -> str:

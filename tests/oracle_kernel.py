@@ -4,15 +4,17 @@ This is the cohort-queue engine: ``PathState`` histories with sequencing
 guards, ``Cohort`` objects moving through nested ``pending``/``arrivals``
 queues, an O(R^2) topological sort, per-event ``LossEvent`` retention and
 the old ``allocate_loss`` with its budget-overflow branch. Its code is kept
-as it was so ``mimdsim.kernel.run`` can be checked against it differentially;
-its traces export with ``conftest.path_csv``/``resource_csv``.
+as it was, except that the adversarial split clamps the other paths in the
+order of ``contributions``, which ``run`` fills in declaration order, as the
+kernel clamps in position order; so ``mimdsim.kernel.run`` can be checked
+against it differentially. Its traces export with
+``conftest.path_csv``/``resource_csv``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import zlib
 from array import array
 from dataclasses import dataclass, field
 
@@ -196,11 +198,6 @@ class AdversarialContext:
 
     target: str
     max_loss: dict[str, float]
-    seed: int = 0
-
-
-def _tiebreak_key(seed: int, round_idx: int, pid: str) -> int:
-    return zlib.crc32(f"{seed}:{round_idx}:{pid}".encode())
 
 
 def _share(need: float, contribution: float, total: float) -> float:
@@ -216,7 +213,6 @@ def allocate_loss(
     contributions: dict[str, float],
     cap: float,
     policy: LossPolicy,
-    round_idx: int,
     ctx: AdversarialContext | None = None,
 ) -> dict[str, float]:
     """Split the excess over capacity among contributors.
@@ -260,10 +256,7 @@ def allocate_loss(
             losses[target] = take
             need -= take
 
-    others = sorted(
-        (pid for pid in contributions if pid != target),
-        key=lambda pid: (_tiebreak_key(ctx.seed, round_idx, pid), pid),
-    )
+    others = [pid for pid in contributions if pid != target]
     caps = {pid: min(contributions[pid], budget(pid)) for pid in others}
     active = [pid for pid in others if caps[pid] > 0]
     tol = 1e-15 * into
@@ -292,7 +285,7 @@ def allocate_loss(
     if need > 1e-9 * max(into, 1.0):
         # Budgets cannot absorb the excess (possible only for hand-built
         # contexts); overflow onto contributions so loss stays conserved.
-        for pid in sorted(contributions, key=lambda p: (_tiebreak_key(ctx.seed, round_idx, p), p)):
+        for pid in contributions:
             room = contributions[pid] - losses[pid]
             take = min(room, need)
             if take > 0:
@@ -327,7 +320,7 @@ def _topo_order(scenario: Scenario) -> list[int]:
 def run(scenario: Scenario, *, keep_loss_events: bool = True) -> RunTrace:
     """Execute the scenario through its horizon and return the full trace.
 
-    Deterministic given the scenario (including any policy seed). Set
+    Deterministic given the scenario. Set
     ``keep_loss_events=False`` to skip storing per-event path breakdowns on
     very long runs; aggregate ledgers are always kept.
     """
@@ -401,7 +394,8 @@ def run(scenario: Scenario, *, keep_loss_events: bool = True) -> RunTrace:
                     continue
                 contributions: dict[str, float] = {}
                 by_path: dict[str, Cohort] = {}
-                for co in cohorts:
+                # in declaration order, the kernel's position order
+                for co in sorted(cohorts, key=lambda co: co.conn):
                     pid = conns[co.conn].id
                     if pid in contributions:
                         raise KernelError(f"two cohorts of {pid!r} at {res_ids[ri]!r} round {t}")
@@ -422,7 +416,7 @@ def run(scenario: Scenario, *, keep_loss_events: bool = True) -> RunTrace:
                             room = budget_scale * (frac_seen[pid] + rho) - frac_lost[pid]
                             max_loss[pid] = max(0.0, room * size)
                         ctx = AdversarialContext(policy.target_path, max_loss)
-                    losses = allocate_loss(contributions, cap, policy, t, ctx)
+                    losses = allocate_loss(contributions, cap, policy, ctx)
                     lost_total = math.fsum(losses.values())
                     if abs(lost_total - excess) > CONSERVATION_RTOL * max(into, 1.0):
                         raise KernelError(

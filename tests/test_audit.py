@@ -234,25 +234,6 @@ def test_ratio_conventions_and_infeasible_pairing():
     assert "ratio=n/a" in summary_line(partial)
 
 
-def test_finish_after_a_trace_only_report_equals_the_full_report():
-    rng = random.Random(2718)
-    for _ in range(20):
-        trace = run(random_scenario(rng))
-        opt = solve_opt(trace.scenario)
-        measured = competitive_ratio(trace, None)
-        for given in (opt, None, OptimumSolution(opt.rates, 0.5 * opt.opt_value, ())):
-            assert audit.finish(measured, given) == competitive_ratio(trace, given)
-        # finish builds a new report; the trace-only one keeps its None fields
-        assert measured.opt_value is None and measured.competitive_ratio is None
-
-    zero = OptimumSolution({"p0": 0.0}, 0.0, ())
-    dead = run(single_link_scenario(cap=0.0, duration=10))
-    assert audit.finish(competitive_ratio(dead, None), zero) == competitive_ratio(dead, zero)
-    live = competitive_ratio(run(single_link_scenario(cap=100.0, duration=10)), None)
-    with pytest.raises(AuditError, match="positive throughput"):
-        audit.finish(live, zero)
-
-
 def test_ratio_trend_non_decreasing_with_duration():
     alpha, beta = theorem_parameters(0.2, 1.0)
     ratios = []

@@ -16,7 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_scenario, record_forks, simple_conn, step_resource
+from conftest import (
+    random_scenario,
+    record_forks,
+    simple_conn,
+    step_resource,
+    tree,
+    with_and_without_fork,
+)
 from mimdsim import audit, kernel, optimum
 from mimdsim.cli import _sweep_variant, main
 from mimdsim.model import emit_scenario, parse_scenario
@@ -63,6 +70,27 @@ def test_validation_failure_exits_2_and_names_the_connection(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "alpha must be < beta" in err and "flow" in err
+
+
+@pytest.mark.parametrize("start_rate,alpha,beta", [
+    (5e-324, 0.25, 0.5),   # (1 + alpha) * start_rate rounds back to start_rate
+    (2e-323, 0.5, 0.6),    # (beta - alpha) * start_rate rounds to 0
+], ids=["cannot-grow", "log-term-underflows"])
+def test_a_start_rate_too_small_for_the_rate_rule_exits_2_with_one_error_line(
+        tmp_path, capsys, start_rate, alpha, beta):
+    doc = {"resources": [], "epsilon": 0.1, "loss_policy": {"kind": "proportional"},
+           "connections": [{"id": "flow", "route": [], "hop_delays": [], "total_delay": 0,
+                            "active": [0, 0], "value": 1.0, "start_rate": start_rate,
+                            "alpha": alpha, "beta": beta}]}
+    sc = tmp_path / "tiny.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--scenario", str(sc), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: invalid scenario: connection 'flow': start_rate {start_rate!r} is too small: "
+        "(1 + alpha) * start_rate must exceed it and (beta - alpha) * start_rate must not "
+        "round to 0\n"))
+    assert not out.exists()
 
 
 def test_parse_failure_reports_line_and_column(tmp_path, capsys):
@@ -212,7 +240,7 @@ def _appending_log(path: Path) -> int:
     return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
 
-def test_a_sweep_runs_every_kernel_and_export_before_the_first_lp(tmp_path, monkeypatch):
+def test_each_sweep_entry_runs_its_kernel_lp_and_export_in_one_process(tmp_path, monkeypatch):
     log = tmp_path / "calls.log"
     fd = _appending_log(log)
     for module, attr in ((kernel, "run"), (kernel, "export_trace"), (optimum, "solve_opt")):
@@ -224,16 +252,15 @@ def test_a_sweep_runs_every_kernel_and_export_before_the_first_lp(tmp_path, monk
         assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "out")] + SWEEP_2X2) == 0
     finally:
         os.close(fd)
-    calls = [line.split() for line in log.read_text().splitlines()]
-    assert sorted(name for _, name in calls[:10]) == ["export_trace"] * 5 + ["run"] * 5
-    assert [name for _, name in calls[10:]] == ["solve_opt"] * 5
-    # both processes take part, each running an entry's kernel and export in turn
     per_process: dict[str, list[str]] = {}
-    for pid, name in calls[:10]:
+    for pid, name in (line.split() for line in log.read_text().splitlines()):
         per_process.setdefault(pid, []).append(name)
+    # both processes take part, each running an entry's kernel, LP and
+    # export before the next entry's kernel
     assert len(per_process) == 2
     for names in per_process.values():
-        assert names == ["run", "export_trace"] * (len(names) // 2)
+        assert names == ["run", "solve_opt", "export_trace"] * (len(names) // 3)
+    assert sum(map(len, per_process.values())) == 3 * 5
 
 
 def test_each_sweep_trace_is_dropped_before_the_next_kernel(tmp_path, monkeypatch):
@@ -326,12 +353,6 @@ def _library_sweep(scenario, out: Path, eps_values, durations) -> tuple[str, str
     return stdout, stderr
 
 
-def _tree(root: Path) -> dict[str, bytes | None]:
-    """Every file's bytes and every directory (as ``None``) under ``root``."""
-    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
-            for p in root.rglob("*")}
-
-
 def test_sweeps_write_what_per_entry_library_calls_write(tmp_path, capsys):
     rng = random.Random(1301)
     scenarios = [parse_scenario(SHARED.read_text())]
@@ -348,7 +369,7 @@ def test_sweeps_write_what_per_entry_library_calls_write(tmp_path, capsys):
         assert code == 0, printed.err
         expected = _library_sweep(scenario, lib_out, [0.2, 0.1], [1.0, 3.0])
         assert printed == expected
-        assert _tree(cli_out) == _tree(lib_out)
+        assert tree(cli_out) == tree(lib_out)
         unbounded_warnings += printed.err.count("warning: optimum not computed")
     # the base and both duration-1 entries of every sweep
     assert unbounded_warnings == 3 * len(scenarios)
@@ -365,25 +386,11 @@ def _underflowing_link(tmp_path: Path) -> Path:
     return sc
 
 
-def _with_and_without_fork(tmp_path, monkeypatch, capsys, flags) -> list[tuple]:
-    """(exit code, stdout, stderr, output tree) of one CLI run with
-    ``os.fork`` and one without it."""
-    runs = []
-    for name in ("forked", "unforked"):
-        if name == "unforked":
-            monkeypatch.delattr(os, "fork")
-        out = tmp_path / name
-        code = main(["--out", str(out), *flags])
-        printed = capsys.readouterr()
-        runs.append((code, printed.out, printed.err, _tree(out)))
-    return runs
-
-
 def test_a_forked_sweep_writes_and_prints_what_an_unforked_one_does(
         tmp_path, monkeypatch, capsys):
     # each entry's CSVs are written whole by the process that ran its kernel
     monkeypatch.setattr(kernel, "forked", None)
-    forked, unforked = _with_and_without_fork(tmp_path, monkeypatch, capsys, [
+    forked, unforked = with_and_without_fork(tmp_path, monkeypatch, capsys, [
         "--scenario", str(SHARED),
         "--sweep-epsilon", "0.2,0.1,0.05", "--sweep-duration", "1,2,4,8"])
     # 13 entries of 4 CSVs and 2 JSON files, 12 subdirectories, the summary
@@ -395,13 +402,28 @@ def test_a_failure_in_the_childs_share_matches_an_unforked_sweep(
         tmp_path, monkeypatch, capsys):
     # the head is the base and durations 1.6-1.3; the child finishes 1.2 and
     # 1.1, and 2 underflows
-    forked, unforked = _with_and_without_fork(tmp_path, monkeypatch, capsys, [
+    forked, unforked = with_and_without_fork(tmp_path, monkeypatch, capsys, [
         "--scenario", str(_underflowing_link(tmp_path)),
         "--sweep-duration", "1.6,1.5,1.4,1.3,1.2,1.1,2"])
-    code, _, err, tree = forked
+    code, _, err, files = forked
     assert code == 3 and err == "error: path 'flow' round 166: non-positive send rate 0.0\n"
-    assert {"eps0.1_dur1.1/audit.json", "eps0.1_dur1.2/audit.json"} <= set(tree)
-    assert "eps0.1_dur2" not in tree
+    assert {"eps0.1_dur1.1/audit.json", "eps0.1_dur1.2/audit.json"} <= set(files)
+    assert "eps0.1_dur2" not in files
+    assert forked == unforked
+
+
+def test_a_failure_in_the_childs_share_writes_its_earlier_warnings_first(
+        tmp_path, monkeypatch, capsys):
+    # the probe makes every entry warn; the child holds back the warnings of
+    # 1.2 and 1.1 and returns them with the failure of 2
+    sc = tmp_path / "probed.json"
+    sc.write_text(emit_scenario(_with_an_unbounded_probe(
+        parse_scenario(_underflowing_link(tmp_path).read_text()))))
+    forked, unforked = with_and_without_fork(tmp_path, monkeypatch, capsys, [
+        "--scenario", str(sc), "--sweep-duration", "1.6,1.5,1.4,1.3,1.2,1.1,2"])
+    warning = "warning: optimum not computed: unbounded: path 'probe' meets no finite capacity\n"
+    assert forked[0] == 3 and forked[2] == (
+        7 * warning + "error: path 'flow' round 166: non-positive send rate 0.0\n")
     assert forked == unforked
 
 
@@ -438,7 +460,7 @@ def _fail_the_head_after_the_childs_first_export(tmp_path, monkeypatch) -> list:
 def test_a_failure_in_the_cli_processs_share_removes_the_childs_outputs(
         tmp_path, monkeypatch, capsys):
     waited = _fail_the_head_after_the_childs_first_export(tmp_path, monkeypatch)
-    forked, unforked = _with_and_without_fork(tmp_path, monkeypatch, capsys, [
+    forked, unforked = with_and_without_fork(tmp_path, monkeypatch, capsys, [
         "--scenario", str(_underflowing_link(tmp_path)), "--sweep-duration", "2,1.5,1.4,1.3"])
     assert len(waited) == 1 and forked[0] == 3
     assert sorted(forked[3]) == ["audit.json", "optimum.json", "path_flow.csv",
@@ -453,7 +475,7 @@ def test_a_failure_in_the_cli_processs_share_keeps_an_earlier_runs_files(
         earlier = tmp_path / name / "eps0.1_dur1.3" / "path_flow.csv"
         earlier.parent.mkdir(parents=True)
         earlier.write_text("from an earlier run\n")
-    forked, unforked = _with_and_without_fork(tmp_path, monkeypatch, capsys, [
+    forked, unforked = with_and_without_fork(tmp_path, monkeypatch, capsys, [
         "--scenario", str(_underflowing_link(tmp_path)), "--sweep-duration", "2,1.5,1.4,1.3"])
     assert len(waited) == 1 and forked[0] == 3
     assert forked[3]["eps0.1_dur1.3/path_flow.csv"] == b"from an earlier run\n"
@@ -489,7 +511,7 @@ def test_a_streamed_run_writes_what_an_unforked_one_does(tmp_path, monkeypatch, 
         assert any(c.total_delay > 0 for c in parse_scenario(sc.read_text()).connections)
         with monkeypatch.context() as mp:
             forks = record_forks(mp)
-            forked, unforked = _with_and_without_fork(tmp_path / str(i), mp, capsys,
+            forked, unforked = with_and_without_fork(tmp_path / str(i), mp, capsys,
                                                       ["--scenario", str(sc)])
         assert len(forks) == 1 and forked[0] == 0
         assert forked == unforked
@@ -527,7 +549,7 @@ def test_a_kernel_failure_in_a_streamed_run_leaves_an_earlier_runs_files(
         (tmp_path / name).mkdir()
         (tmp_path / name / "path_flow.csv").write_text("from an earlier run\n")
     try:
-        forked, unforked = _with_and_without_fork(tmp_path, monkeypatch, capsys,
+        forked, unforked = with_and_without_fork(tmp_path, monkeypatch, capsys,
                                                   ["--scenario", str(sc)])
     finally:
         os.close(fd)

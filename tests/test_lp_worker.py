@@ -16,10 +16,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assert_no_child_processes, constant_resource, lp_instance
+from conftest import (
+    assert_no_child_processes,
+    constant_resource,
+    lp_instance,
+    with_and_without_fork,
+)
 from mimdsim import optimum
 from mimdsim.cli import main
-from mimdsim.model import emit_scenario
+from mimdsim.model import emit_scenario, parse_scenario
 from mimdsim.optimum import OptimumError, lp_worker, solve_opt
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -83,8 +88,8 @@ def test_worker_is_reaped_after_a_normal_run(tmp_path):
     assert_no_child_processes()
 
 
-def test_no_worker_is_forked_when_every_lp_is_solved_exactly(monkeypatch, tmp_path):
-    marker = tmp_path / "forked"
+def _mark_worker_starts(monkeypatch, marker: Path) -> None:
+    """Make every LP worker write ``marker`` as it starts."""
     solve_all = optimum._solve_all
 
     def marking_solve_all(scenarios):
@@ -92,12 +97,33 @@ def test_no_worker_is_forked_when_every_lp_is_solved_exactly(monkeypatch, tmp_pa
         return solve_all(scenarios)
 
     monkeypatch.setattr(optimum, "_solve_all", marking_solve_all)
+
+
+def test_no_worker_is_forked_when_every_lp_is_solved_exactly(monkeypatch, tmp_path):
+    marker = tmp_path / "forked"
+    _mark_worker_starts(monkeypatch, marker)
     assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "o")]) == 0
     assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "s"),
                  "--sweep-duration", "1,2"]) == 0
     assert not marker.exists()
     assert main(["--scenario", str(_wide_file(tmp_path)), "--out", str(tmp_path / "w")]) == 0
     assert marker.exists()
+
+
+def test_a_sweep_of_wide_lps_forks_no_worker_and_matches_an_unforked_one(
+        monkeypatch, tmp_path, capsys):
+    # each entry's LP goes to HiGHS in the process that runs the entry
+    marker = tmp_path / "worker_started"
+    _mark_worker_starts(monkeypatch, marker)
+    sc = tmp_path / "nine.json"
+    sc.write_text(json.dumps(_nine_flows()))
+    assert not optimum._exact_route(parse_scenario(sc.read_text()))
+    forked, unforked = with_and_without_fork(tmp_path, monkeypatch, capsys, [
+        "--scenario", str(sc), "--sweep-duration", "0.05,0.1,0.2"])
+    # 4 entries of 10 CSVs and 2 JSON files, 3 subdirectories, the summary
+    assert forked[0] == 0 and len(forked[3]) == 4 * 12 + 3 + 1
+    assert not marker.exists()
+    assert forked == unforked
 
 
 def test_worker_is_reaped_after_a_runtime_failure(tmp_path, capsys):
