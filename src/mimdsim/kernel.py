@@ -146,6 +146,15 @@ def _shared_zeros(count: int, n_rounds: int) -> Iterator[memoryview]:
     return (whole[i * n_rounds:(i + 1) * n_rounds] for i in range(count))
 
 
+def _at(path_id: str, t: int, rule: Callable[..., float], *args: float) -> float:
+    """``rule(*args)``, with ``path '<path_id>' round <t>: `` before the
+    message of any ``ProtocolError`` it raises."""
+    try:
+        return rule(*args)
+    except protocol.ProtocolError as exc:
+        raise protocol.ProtocolError(f"path {path_id!r} round {t}: {exc}") from exc
+
+
 def run(scenario: Scenario,
         on_round: Callable[[RunTrace, int], None] | None = None) -> RunTrace:
     """Execute the scenario through its horizon and return the full trace.
@@ -176,12 +185,24 @@ def run(scenario: Scenario,
     inflight = [rec.rcvd[c.total_delay:] for rec, c in zip(records, conns)]
 
     # The static schedule: each resource in same-round precedence order with
-    # its members (path, pre-delay, first and last transit round).
-    members: list[list[tuple[int, int, int, int]]] = [[] for _ in ledgers]
+    # its arrays and members (path, in-flight view, pre-delay, first and last
+    # transit round).
+    members: list[list[tuple[int, memoryview, int, int, int]]] = [[] for _ in ledgers]
     for k, i, pre, first, last in crossings(scenario):
-        members[i].append((k, pre, first, last))
+        members[i].append((k, inflight[k], pre, first, last))
     order = topo_order([r.id for r in scenario.resources], intra_round_edges(scenario))
-    schedule = [(ledgers[i], members[i]) for i in order if members[i]]
+    schedule = [(ledgers[i].resource_id, ledgers[i].into, ledgers[i].lost, ledgers[i].cap,
+                 members[i]) for i in order if members[i]]
+    # Per path, built once: the send window, the last warm-up round, the
+    # feedback lag and the rule's constants (1 + alpha, evaluated as the
+    # rule does); and the arrival window, shifted by the total delay.
+    emitters = [(c, c.start, c.end, c.start + c.total_delay, 1 + c.total_delay, c.start_rate,
+                 1.0 + c.alpha, c.beta, rec.sent, rec.lsr, view)
+                for c, rec, view in zip(conns, records, inflight)]
+    arrivals = [(c, c.start + c.total_delay, c.end + c.total_delay, c.total_delay,
+                 rec.sent, rec.rcvd, rec.lost, rec.lsr)
+                for c, rec in zip(conns, records)]
+    inf = math.inf
 
     policy = scenario.loss_policy
     adversarial = isinstance(policy, AdversarialFairLoss)
@@ -196,36 +217,37 @@ def run(scenario: Scenario,
         resources=dict(zip((r.id for r in scenario.resources), ledgers)),
     )
 
+    # The rate rule and the loss fraction are computed inline, with
+    # protocol's arithmetic; protocol is called only for a value outside its
+    # domain, so its checks raise (or clamp) exactly as a call would.
     for t in range(n_rounds):
         # Sources emit, using only feedback with timestamp <= t-1.
-        for k, c in enumerate(conns):
-            if not (c.start <= t <= c.end):
+        for c, start, end, warm_end, lag, start_rate, grow, beta, sent, lsr, view in emitters:
+            if not start <= t <= end:
                 continue
-            rec = records[k]
-            if t <= c.start + c.total_delay:
-                rate = c.start_rate
+            if t <= warm_end:
+                rate = start_rate
             else:
-                prev = rec.sent[t - 1 - c.total_delay]
-                try:
-                    rate = protocol.update_rate(prev, rec.lsr[t - 1], c.alpha, c.beta)
-                except protocol.ProtocolError as exc:
-                    raise protocol.ProtocolError(f"path {c.id!r} round {t}: {exc}") from exc
-            rec.sent[t] = rate
-            inflight[k][t] = rate
+                prev, fed_back = sent[t - lag], lsr[t - 1]
+                rate = prev * (grow - beta * fed_back)
+                if not (0.0 < rate < inf and 0.0 <= fed_back <= 1.0):
+                    rate = _at(c.id, t, protocol.update_rate, prev, fed_back, c.alpha, beta)
+            sent[t] = rate
+            view[t] = rate
 
         # Each scheduled resource pools its active cohorts and discards the excess.
-        for ledger, group in schedule:
-            cohorts = [(k, t - pre) for k, pre, lo, hi in group if lo <= t <= hi]
+        for resource_id, into_at, lost_at, cap, group in schedule:
+            cohorts = [(k, view, t - pre) for k, view, pre, lo, hi in group if lo <= t <= hi]
             if not cohorts:
                 continue
-            sizes = [inflight[k][s] for k, s in cohorts]
+            sizes = [view[s] for _, view, s in cohorts]
             try:
                 into = math.fsum(sizes)
             except OverflowError:
                 raise protocol.ProtocolError(
-                    f"resource {ledger.resource_id!r} round {t}: load overflowed to inf") from None
-            ledger.into[t] = into
-            excess = into - ledger.cap[t]
+                    f"resource {resource_id!r} round {t}: load overflowed to inf") from None
+            into_at[t] = into
+            excess = into - cap[t]
             if not (excess > 0 and into > 0):
                 continue
             low = min(sizes)
@@ -240,8 +262,8 @@ def run(scenario: Scenario,
                 # traversed, this event included
                 max_loss = [max(0.0, (budget_scale * (frac_seen[k] + rho) - frac_lost[k])
                                 * records[k].sent[s])
-                            for k, s in cohorts]
-                target = next((j for j, (k, _) in enumerate(cohorts) if k == target_k), None)
+                            for k, _, s in cohorts]
+                target = next((j for j, (k, _, _) in enumerate(cohorts) if k == target_k), None)
                 losses = allocate_loss(sizes, into, excess, target, max_loss)
             else:
                 losses = [c * rho for c in sizes]
@@ -249,30 +271,28 @@ def run(scenario: Scenario,
             # each share may round away up to half a quantum of the excess
             if abs(lost_total - excess) > CONSERVATION_RTOL * into + _QUANTUM * len(sizes):
                 raise KernelError(
-                    f"loss event at {ledger.resource_id!r} round {t} dropped {lost_total}, "
+                    f"loss event at {resource_id!r} round {t} dropped {lost_total}, "
                     f"excess was {excess}"
                 )
-            ledger.lost[t] = lost_total
+            lost_at[t] = lost_total
             ratio = lost_total / into
-            for (k, s), c, loss in zip(cohorts, sizes, losses):
+            for (k, view, s), c, loss in zip(cohorts, sizes, losses):
                 if loss > 0.0:
-                    inflight[k][s] = max(0.0, c - loss)
+                    view[s] = max(0.0, c - loss)
                 if adversarial:
                     frac_lost[k] += loss / records[k].sent[s]
                     frac_seen[k] += ratio
 
         # Arrivals: what is left in rcvd[t] is received; record and feed back.
-        for k, c in enumerate(conns):
-            s = t - c.total_delay
-            if not (c.start <= s <= c.end):
+        for c, first, last, delay, sent, rcvd, lost, lsr in arrivals:
+            if not first <= t <= last:
                 continue
-            rec = records[k]
-            got = rec.rcvd[t]
-            rec.lost[t] = rec.sent[s] - got
-            try:
-                rec.lsr[t] = protocol.loss_fraction(rec.sent[s], got)
-            except protocol.ProtocolError as exc:
-                raise protocol.ProtocolError(f"path {c.id!r} round {t}: {exc}") from exc
+            out, got = sent[t - delay], rcvd[t]
+            lost[t] = gone = out - got
+            fraction = gone / out
+            if got < 0.0 or not 0.0 <= fraction <= 1.0:
+                fraction = _at(c.id, t, protocol.loss_fraction, out, got)
+            lsr[t] = fraction
         if on_round is not None and t < horizon:
             on_round(trace, t)
 
@@ -308,13 +328,16 @@ def loss_totals(trace: RunTrace) -> tuple[float, float]:
 # Trace export: per-path CSV `round,sent,rcvd,lost,lsr` and per-resource CSV
 # `round,into,lost,cap`, column order fixed, written _CSV_CHUNK_ROWS rows at a
 # time, so export memory does not grow with the horizon. The export is almost
-# all float repr. A finished trace is written in the calling process; a
-# CsvStream writes it behind the kernel instead, in one forked child. The
-# kernel's arrays live in one anonymous shared mapping, so the child reads
-# every row the kernel stores after the fork, and row t is final once round t
-# has ended. Only round counts cross the pipe, and its syscalls order the
-# child's reads after the kernel's stores. Files are written under staged
-# names and moved into place only once all are complete.
+# all float repr, so a column that holds one value over a chunk (equal bytes,
+# so 0.0 and -0.0 are two values) has it formatted once, into the chunk's row
+# template: the bytes are those of a repr per row. A finished trace is
+# written in the calling process; a CsvStream writes it behind the kernel
+# instead, in one forked child. The kernel's arrays live in one anonymous
+# shared mapping, so the child reads every row the kernel stores after the
+# fork, and row t is final once round t has ended. Only round counts cross
+# the pipe, and its syscalls order the child's reads after the kernel's
+# stores. Files are written under staged names and moved into place only
+# once all are complete.
 # ---------------------------------------------------------------------------
 
 _CSV_CHUNK_ROWS = 4096
@@ -353,8 +376,16 @@ def _csv_header(columns: tuple[str, ...]) -> str:
 def _csv_rows(record: PathRecord | ResourceLedger, columns: tuple[str, ...],
               lo: int, hi: int) -> str:
     """The CSV text of rows ``lo..hi-1`` of one record."""
-    row = ",".join(["%r"] * (1 + len(columns))) + "\n"
-    arrays = [getattr(record, name)[lo:hi] for name in columns]
+    fields, arrays = ["%r"], []
+    for name in columns:
+        values = getattr(record, name)[lo:hi]
+        raw = values.tobytes()
+        if raw[8:] == raw[:-8]:   # one value, bit for bit: format it once
+            fields.append(repr(values[0]))   # a float's repr holds no "%"
+        else:
+            fields.append("%r")
+            arrays.append(values)
+    row = ",".join(fields) + "\n"
     return "".join([row % r for r in zip(range(lo, hi), *arrays)])
 
 

@@ -308,6 +308,11 @@ def validate(scenario: Scenario) -> list[Violation]:
             out.append(Violation(where, f"start_rate {c.start_rate!r} is too small: (1 + alpha) * "
                                  "start_rate must exceed it and (beta - alpha) * start_rate must "
                                  "not round to 0"))
+        # the audit divides by both products
+        if 0.0 < c.value <= 1.0 and 0.0 < c.beta < 1.0 and 0.0 < scenario.epsilon < 1.0 and not (
+                c.beta * c.value > 0 and scenario.epsilon ** 2 * c.beta * c.value > 0):
+            out.append(Violation(where, f"value {c.value!r} is too small: beta * value and "
+                                 "epsilon ** 2 * beta * value must not round to 0"))
 
     if not 0.0 < scenario.epsilon < 1.0:
         out.append(Violation("scenario", f"epsilon must lie in (0,1), got {scenario.epsilon}"))

@@ -93,6 +93,26 @@ def test_a_start_rate_too_small_for_the_rate_rule_exits_2_with_one_error_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [
+    5e-324,   # beta * value rounds to 0
+    1e-322,   # only epsilon ** 2 * beta * value rounds to 0
+], ids=["per-path-c-underflows", "threshold-underflows"])
+def test_a_value_too_small_for_the_audit_exits_2_with_one_error_line(tmp_path, capsys, value):
+    # the path grows past its start rate, so the audit reaches both divisions
+    doc = {"resources": [], "epsilon": 0.1, "loss_policy": {"kind": "proportional"},
+           "connections": [{"id": "flow", "route": [], "hop_delays": [], "total_delay": 0,
+                            "active": [0, 3], "value": value, "start_rate": 1.0,
+                            "alpha": 0.25, "beta": 0.5}]}
+    sc = tmp_path / "tiny.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--scenario", str(sc), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: invalid scenario: connection 'flow': value {value!r} is too small: "
+        "beta * value and epsilon ** 2 * beta * value must not round to 0\n"))
+    assert not out.exists()
+
+
 def test_parse_failure_reports_line_and_column(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"resources": [}')

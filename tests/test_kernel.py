@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import re
 import time
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from conftest import (
 )
 from mimdsim import kernel, protocol
 from mimdsim.cli import main
-from mimdsim.kernel import KernelError, allocate_loss, run
+from mimdsim.kernel import KernelError, RunTrace, allocate_loss, run
 from mimdsim.model import (
     AdversarialFairLoss,
     ProportionalLoss,
@@ -76,11 +77,11 @@ def test_two_paths_share_proportionally():
 
 
 def _two_paths(cap: float, policy=None, *, b_start: int = 0, b_rate: float = 50.0,
-               epsilon: float = 0.1) -> Scenario:
+               epsilon: float = 0.1, a_rate: float = 100.0) -> Scenario:
     return Scenario(
         resources=(constant_resource("r", cap),),
         connections=(
-            simple_conn("A", ("r",), end=b_start, start_rate=100.0),
+            simple_conn("A", ("r",), end=b_start, start_rate=a_rate),
             simple_conn("B", ("r",), start=b_start, end=b_start, start_rate=b_rate),
         ),
         epsilon=epsilon,
@@ -96,11 +97,11 @@ def test_allocate_loss_basic_contracts(monkeypatch):
         assert (trace.paths["A"].lost[0], trace.paths["B"].lost[0]) == pytest.approx(want)
 
     # ... and a negative contribution to a congested event is a kernel fault
-    # under either policy: A's first updated rate (round 1) is -1, B adds 200
-    monkeypatch.setattr(protocol, "update_rate", lambda *args: -1.0)
+    # under either policy: past validation, A starts at -1 and B adds 200
+    monkeypatch.setattr(kernel, "require_valid", lambda scenario: None)
     for policy in (ProportionalLoss(), AdversarialFairLoss(target_path="B")):
         with pytest.raises(KernelError, match="negative contribution -1.0 from 'A'"):
-            run(_two_paths(120.0, policy, b_start=1, b_rate=200.0))
+            run(_two_paths(120.0, policy, a_rate=-1.0, b_rate=200.0))
 
 
 def test_allocate_loss_adversarial_with_fresh_budget():
@@ -360,6 +361,121 @@ def test_export_trace_files_equal_the_csv_strings_across_chunks(tmp_path):
     assert written[0].read_bytes() == path_csv(trace, "p0").encode()
     assert written[1].read_bytes() == resource_csv(trace, "link").encode()
     assert len(written[0].read_text().splitlines()) == 1 + trace.horizon + 1
+
+
+def _per_row_csv(columns: tuple[str, ...], arrays: list, n_rows: int) -> str:
+    """The CSV text of a plain per-row ``%r`` formatter."""
+    row = ",".join(["%r"] * (1 + len(columns))) + "\n"
+    return (",".join(("round",) + columns) + "\n"
+            + "".join(row % ((t,) + tuple(a[t] for a in arrays)) for t in range(n_rows)))
+
+
+@pytest.mark.parametrize("n_rows", [1, 7, 29])
+def test_one_value_chunks_are_written_as_a_per_row_repr_writes_them(tmp_path, monkeypatch,
+                                                                     n_rows):
+    # chunks of 7 rows; 29 rows end in a chunk of one
+    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
+    trace = run(Scenario((constant_resource("r", math.inf),),
+                         (simple_conn("p", ("r",), end=n_rows - 1),), 0.1))
+    assert trace.horizon + 1 == n_rows
+    rng = random.Random(n_rows)
+    rec, led = trace.paths["p"], trace.resources["r"]
+    for t in range(n_rows):
+        rec.sent[t] = 0.0
+        rec.rcvd[t] = -0.0
+        rec.lost[t] = (0.0, -0.0)[t % 2]
+        rec.lsr[t] = 0.5 if t % 7 == 6 else 0.25   # only a chunk's last row differs
+        led.into[t] = rng.uniform(0.0, 10.0)
+        led.lost[t] = 1e-300
+    assert set(led.cap) == {math.inf}
+    kernel.export_trace(trace, tmp_path)
+    assert (tmp_path / "path_p.csv").read_text() == _per_row_csv(
+        kernel._PATH_COLUMNS, [rec.sent, rec.rcvd, rec.lost, rec.lsr], n_rows)
+    assert (tmp_path / "resource_r.csv").read_text() == _per_row_csv(
+        kernel._RESOURCE_COLUMNS, [led.into, led.lost, led.cap], n_rows)
+
+
+def test_the_inline_rule_equals_protocol_bit_for_bit_on_random_runs():
+    # both policies, capacity dips and loss fractions of 0 and 1 included
+    rng = random.Random(2024)
+    fractions = set()
+    for _ in range(40):
+        sc = random_scenario(rng)
+        trace = run(sc)
+        for c in sc.connections:
+            rec, d = trace.paths[c.id], c.total_delay
+            for t in range(c.start + d + 1, c.end + 1):
+                want = protocol.update_rate(rec.sent[t - 1 - d], rec.lsr[t - 1], c.alpha, c.beta)
+                assert rec.sent[t].hex() == want.hex(), (c.id, t)
+            for t in range(c.start + d, c.end + d + 1):
+                want = protocol.loss_fraction(rec.sent[t - d], rec.rcvd[t])
+                assert rec.lsr[t].hex() == want.hex(), (c.id, t)
+                fractions.add(rec.lsr[t])
+    assert {0.0, 1.0} <= fractions and len(fractions) > 1000
+
+
+def test_the_inline_rule_equals_protocol_bit_for_bit_on_random_feedback():
+    # after each round the hook checks the round's rate, then feeds the next
+    # update a random rate and a random loss fraction, the ends included
+    rng = random.Random(7)
+    for _ in range(20):
+        beta = rng.uniform(0.01, 0.99)
+        alpha = beta * rng.uniform(0.01, 0.99)
+        sc = Scenario((), (simple_conn("p", (), end=199, alpha=alpha, beta=beta),), 0.1)
+        fed = {}
+
+        def feed(trace, t):
+            rec = trace.paths["p"]
+            if t - 1 in fed:
+                want = protocol.update_rate(*fed[t - 1], alpha, beta)
+                assert rec.sent[t].hex() == want.hex(), t
+            prev = 10.0 ** rng.uniform(-300, 300)
+            lsr = rng.choice((0.0, 1.0, rng.random()))
+            rec.sent[t], rec.lsr[t] = prev, lsr
+            fed[t] = (prev, lsr)
+
+        run(sc, on_round=feed)
+        assert len(fed) == 200
+
+
+def _feedback_run(row: str, t: int, value) -> RunTrace:
+    """A one-path run over an unbounded link with delay 1, in which round
+    ``t`` receives a corrupted ``rcvd[t]`` (``row == "rcvd"``) or updates
+    from a corrupted ``lsr[t - 1]`` (``row == "lsr"``): once round ``t - 1``
+    has ended, a hook sets it to ``value(sent[t - 1])``."""
+    sc = Scenario((constant_resource("r", math.inf),),
+                  (simple_conn("p", ("r",), end=9, delay=1, hop_delays=(1,)),), 0.1)
+
+    def corrupt(trace, u):
+        if u == t - 1:
+            rec = trace.paths["p"]
+            getattr(rec, row)[t if row == "rcvd" else u] = value(rec.sent[u])
+
+    return run(sc, on_round=corrupt)
+
+
+@pytest.mark.parametrize("row,value,message", [
+    ("lsr", lambda sent: 1.5, "loss fraction 1.5 outside [0,1]"),
+    ("lsr", lambda sent: -0.5, "loss fraction -0.5 outside [0,1]"),
+    ("lsr", lambda sent: math.nan, "loss fraction nan outside [0,1]"),
+    ("rcvd", lambda sent: -1.0, "negative rcvd -1.0"),
+    # (sent - rcvd) / sent rounds to 1.0 here: only the sign of rcvd is out
+    ("rcvd", lambda sent: -5e-324, "negative rcvd -5e-324"),
+    ("rcvd", lambda sent: 2.0 * sent, "rcvd 2.02 exceeds sent 1.01 beyond tolerance"),
+], ids=["lsr-above-1", "lsr-below-0", "lsr-nan", "negative-rcvd", "negative-rcvd-tiny",
+        "rcvd-above-sent"])
+def test_feedback_outside_the_domain_raises_protocol_s_message_naming_path_and_round(
+        row, value, message):
+    # round 4 updates from lsr[3] and receives rcvd[4], the cohort sent in round 3
+    with pytest.raises(ProtocolError, match="^" + re.escape(f"path 'p' round 4: {message}") + "$"):
+        _feedback_run(row, 4, value)
+
+
+def test_a_loss_fraction_within_tolerance_below_0_is_clamped_to_0():
+    trace = _feedback_run("rcvd", 4, lambda sent: sent * (1.0 + 1e-14))
+    rec = trace.paths["p"]
+    assert rec.lost[4] < 0.0
+    assert rec.lsr[4].hex() == (0.0).hex()
 
 
 def _expected_csvs(trace) -> dict[str, bytes]:

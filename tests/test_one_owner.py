@@ -2,8 +2,9 @@
 sends back; pipes only there and for the export child's row counts; one
 module that turns hop delays into transit rounds, and one that splits loss
 events; a kernel that opens no file; no seed, since nothing in the model is
-random; and the LP libraries, pickle and mmap load only inside the calls
-that use them."""
+random; the rate rule's domain checks and messages only in the protocol;
+and the LP libraries, pickle and mmap load only inside the calls that use
+them."""
 
 from __future__ import annotations
 
@@ -100,3 +101,29 @@ def test_no_module_imports_numpy_scipy_fractions_pickle_or_mmap_at_import_time()
             found += [(name, r) for r in roots
                       if r.split(".")[0] in ("numpy", "scipy", "fractions", "pickle", "mmap")]
     assert found == []
+
+
+# the rate rule's domain errors, as protocol words them
+RULE_MESSAGES = ("outside [0,1]", "send rate overflowed", "non-positive send rate",
+                 "negative rcvd", "beyond tolerance")
+
+
+def test_the_rate_rule_s_domain_messages_live_only_in_the_protocol():
+    # the kernel applies the rule inline, and defers to protocol's calls
+    # for every value outside its domain
+    holders: dict[str, set[str]] = {message: set() for message in RULE_MESSAGES}
+    clamp_readers = set()
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for message in RULE_MESSAGES:
+                    if message in node.value:
+                        holders[message].add(name)
+            if "LSR_CLAMP_TOLERANCE" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                clamp_readers.add(name)
+    assert holders == {message: {"protocol.py"} for message in RULE_MESSAGES}
+    assert clamp_readers == {"protocol.py"}
+    kernel_calls = {node.attr for node in ast.walk(_modules()["kernel.py"])
+                    if isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", None) == "protocol"}
+    assert {"update_rate", "loss_fraction"} <= kernel_calls

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import re
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,11 +80,13 @@ def scenarios(draw) -> Scenario:
 
 def run_or_rate_error(sc: Scenario):
     """The trace, or ``None`` when a start rate is too small for the rate
-    rule (README "Feasible starts") or a send rate left the floats."""
+    rule or a value too small for the audit (README "Feasible starts"), or
+    a send rate left the floats."""
     violations = validate(sc)
     for v in violations:
         c = next(c for c in sc.connections if v.where == f"connection {c.id!r}")
-        assert v.message.startswith(f"start_rate {c.start_rate!r} is too small: "), v
+        assert v.message.startswith((f"start_rate {c.start_rate!r} is too small: ",
+                                     f"value {c.value!r} is too small: ")), v
     if violations:
         return None
     try:
@@ -127,9 +128,6 @@ def test_traces_equal_the_oracle_with_its_tie_break_in_declaration_order(sc):
 LEMMA_RTOL = 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a value of 5e-324: the audit divides by beta * value for per_path_c, which "
-    "underflows to 0 (ZeroDivisionError)"))
 @PROPERTY
 @given(sc=scenarios())
 def test_both_lemma_slacks_hold_on_every_path_with_a_feasible_start(sc):
