@@ -38,7 +38,6 @@ from .optimum import (
     solve_opt,
 )
 from .audit import (
-    AuditError,
     AuditReport,
     competitive_ratio,
     export_report,

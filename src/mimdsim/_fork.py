@@ -1,5 +1,5 @@
-"""The one fork discipline, shared by every forked process: the LP worker,
-the trace export child that writes a run's CSVs behind its kernel
+"""The one fork discipline, shared by every forked process: the trace
+export child that writes a run's CSVs behind its kernel
 (``kernel.CsvStream``) and the helper it forks for the last rows, and the
 child that runs the tail of a sweep's entries (``cli._run_in_two``).
 A child's return value or failure comes back over one pipe; a child that

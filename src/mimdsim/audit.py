@@ -39,10 +39,6 @@ from .model import Scenario, crossings
 from .optimum import OptimumSolution, UnboundedOptimumError
 
 
-class AuditError(RuntimeError):
-    """Inconsistent audit inputs (e.g. positive throughput against opt = 0)."""
-
-
 class BandwidthTestError(ValueError):
     """The scenario does not fit the bandwidth test."""
 
@@ -118,8 +114,10 @@ def competitive_ratio(trace: RunTrace, opt: OptimumSolution | None) -> AuditRepo
     """Assemble the full report; opt may be None when it was unbounded, and
     then ``opt_value`` and ``competitive_ratio`` are None too. One pass over
     the connections reads each path's record and arrival window once and
-    fills every per-path field. Raises AuditError when ``opt`` is 0 against
-    a positive throughput."""
+    fills every per-path field. Against an ``opt_value`` of 0 the ratio is
+    0.0 for a zero throughput and None for a positive one: a fixed rate
+    must be 0 across a capacity-0 round, which the protocol can send
+    around."""
     scenario = trace.scenario
     throughput_terms = []
     lemma1: dict[str, float] = {}
@@ -169,15 +167,10 @@ def competitive_ratio(trace: RunTrace, opt: OptimumSolution | None) -> AuditRepo
     eps_hat = measure_fairness(trace)
     ratio = None
     if opt is not None:
-        if opt.opt_value <= 0.0:
-            if throughput > 1e-9:
-                raise AuditError(
-                    f"positive throughput {throughput} against opt_value 0: "
-                    "the optimum and the trace cannot come from the same scenario"
-                )
-            ratio = 0.0
-        else:
+        if opt.opt_value > 0.0:
             ratio = throughput / opt.opt_value
+        elif throughput == 0.0:
+            ratio = 0.0
     finite_c = [v for v in per_path_c.values() if v is not None]
     return AuditReport(
         weighted_throughput=throughput,
@@ -206,21 +199,14 @@ def solve_or_none(scenario: Scenario) -> tuple[OptimumSolution | None, str | Non
         return None, str(exc)
 
 
-def equalized(scenario: Scenario) -> Scenario:
-    """``scenario`` with every connection's value set to 1: what
-    ``bandwidth_test`` runs and solves."""
-    return replace(scenario, connections=tuple(replace(c, value=1.0)
-                                               for c in scenario.connections))
-
-
 def bandwidth_test(scenario: Scenario) -> dict:
     """Run to the horizon and report the converged aggregate received rate.
 
     Requires every connection to share one active interval (else
-    BandwidthTestError); values are forced to 1 (``equalized``) so the
-    estimate weighs all paths equally. Convergence is declared once the
-    trailing-window mean moves by less than 0.5% across one window, the
-    window being max over paths of (1+delay)/(beta*eps).
+    BandwidthTestError); values are forced to 1 so the estimate weighs
+    all paths equally. Convergence is declared once the trailing-window
+    mean moves by less than 0.5% across one window, the window being max
+    over paths of (1+delay)/(beta*eps).
     """
     if not scenario.connections:
         return {"estimate": 0.0, "opt_rate": 0.0, "opt_value": 0.0,
@@ -228,7 +214,8 @@ def bandwidth_test(scenario: Scenario) -> dict:
     intervals = {(c.start, c.end) for c in scenario.connections}
     if len(intervals) != 1:
         raise BandwidthTestError("bandwidth test needs all connections on one active interval")
-    scenario = equalized(scenario)
+    scenario = replace(scenario, connections=tuple(replace(c, value=1.0)
+                                                   for c in scenario.connections))
     trace = kernel.run(scenario)
     start, end = next(iter(intervals))
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import audit, kernel, optimum
 from ._fork import forked
-from .audit import AuditError, BandwidthTestError, theorem_parameters
+from .audit import BandwidthTestError, theorem_parameters
 from .kernel import KernelError
 from .model import (
     Scenario,
@@ -102,8 +102,16 @@ def _run_entry(scenario: Scenario, outdir: Path, stream: bool) -> audit.AuditRep
         optimum.export_solution(solution, outdir / "optimum.json")
     else:
         print(f"warning: optimum not computed: {opt_note}", file=sys.stderr)
+    _warn_if_unrated(report)
     audit.export_report(report, outdir / "audit.json")
     return report
+
+
+def _warn_if_unrated(report: audit.AuditReport) -> None:
+    """Warn on stderr when a zero optimum left the ratio null."""
+    if report.opt_value == 0.0 and report.competitive_ratio is None:
+        print("warning: competitive ratio not computed: positive throughput "
+              f"{report.weighted_throughput!r} against opt_value 0", file=sys.stderr)
 
 
 def _sweep_variant(scenario: Scenario, eps: float | None, duration: float) -> Scenario:
@@ -249,10 +257,11 @@ def cmd_simulate(entries: list[_Entry]) -> int:
     Where the platform has ``fork``, a sweep is split over this process and
     one forked child (``_run_in_two``), and a one-entry run streams its
     CSVs from a child (``kernel.CsvStream``); otherwise every entry runs
-    here. Either way stdout, stderr, the exit code and the files left are
-    those of running each entry in turn. A CLI process killed after its
-    kernel has sent the last rows, or while its sweep child runs, leaves
-    the staged ``.part`` files behind.
+    here. Each fork comes before any LP is solved (see ``optimum``).
+    Either way stdout, stderr, the exit code and the files left are those
+    of running each entry in turn. A CLI process killed after its kernel
+    has sent the last rows, or while its sweep child runs, leaves the
+    staged ``.part`` files behind.
     """
     reports: list[audit.AuditReport] = []
     forking = hasattr(os, "fork")
@@ -280,6 +289,7 @@ def cmd_audit(scenario: Scenario, outdir: Path) -> int:
     if solution is None:
         print(f"warning: optimum not computed: {opt_note}", file=sys.stderr)
     report = audit.competitive_ratio(trace, solution)
+    _warn_if_unrated(report)
     audit.export_report(report, outdir / "audit.json")
     print(audit.summary_line(report))
     return EXIT_OK
@@ -327,23 +337,18 @@ def main(argv: list[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise UsageError(f"output directory is not writable: {exc}") from exc
-        # bwtest solves the equalized copy, so its LP decides on the worker;
-        # a sweep solves each LP in the process that runs its entry
-        lp_scenarios = ([audit.equalized(scenario)] if args.mode == "bwtest"
-                        else [scenario] if len(entries) == 1 else [])
-        with optimum.lp_worker(lp_scenarios):
-            if args.mode == "simulate":
-                return cmd_simulate(entries)
-            if args.mode == "audit":
-                return cmd_audit(scenario, out_dir)
-            if args.mode == "opt":
-                return cmd_opt(scenario, out_dir)
-            return cmd_bandwidth_test(scenario, out_dir)
+        if args.mode == "simulate":
+            return cmd_simulate(entries)
+        if args.mode == "audit":
+            return cmd_audit(scenario, out_dir)
+        if args.mode == "opt":
+            return cmd_opt(scenario, out_dir)
+        return cmd_bandwidth_test(scenario, out_dir)
     except (ScenarioParseError, ScenarioValidationError, UsageError,
             BandwidthTestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (KernelError, OptimumError, AuditError, ProtocolError, OSError,
+    except (KernelError, OptimumError, ProtocolError, OSError,
             OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -17,26 +17,23 @@ slack relative to each, and give the binding constraints: inclusive round
 ranges per resource, one per run of binding segments, so their size does
 not grow with the horizon.
 
-Only ``_highs``, the one call into HiGHS, imports numpy and scipy; only
-``_exact`` imports fractions. ``with lp_worker(scenarios):`` solves the
-HiGHS LPs of ``scenarios`` up front, in one forked worker that imports
-scipy beside the caller's own work, and ``solve_opt`` takes its answer
-from there; ``_fork.forked`` owns the worker's fork, kill and reap, and
-carries its answers back. The CLI enters it only for a run of one entry;
-a sweep solves each LP in the process that runs that entry.
+Only ``_highs``, the one call into HiGHS, loads scipy's HiGHS extension
+(``_highs_core``), without importing scipy. Only ``_exact`` imports
+fractions. Every LP is solved in the process that calls ``solve_opt``,
+which forks nothing. The extension imports numpy, whose BLAS starts a
+thread, so a process that forks (``_fork.forked``) does so before its
+first HiGHS solve.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import cache, partial
+from functools import cache
+from itertools import accumulate
 from pathlib import Path
 
-from ._fork import forked
 from .model import Scenario, crossings, require_valid
 
 EXACT_MAX_COLUMNS = 8   # above this many weighted paths, HiGHS solves the LP
@@ -59,24 +56,72 @@ class OptimumSolution:
     tight_constraints: tuple[tuple[str, int, int], ...]   # (resource, first, last round)
 
 
+@cache
+def _highs_core():
+    """scipy's HiGHS extension, loaded once under its own name without
+    importing scipy; OptimumError, naming what it looked for, if absent."""
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+    from importlib.util import find_spec, module_from_spec, spec_from_loader
+
+    name = "scipy.optimize._highspy._core"
+    scipy = find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise OptimumError(f"cannot load {name}: scipy is not installed")
+    where = Path(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in EXTENSION_SUFFIXES:
+        path = where / f"_core{suffix}"
+        if path.is_file():
+            loader = ExtensionFileLoader(name, str(path))
+            module = module_from_spec(spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    raise OptimumError(f"cannot load {name}: no {where / '_core'}"
+                       f"{{{','.join(EXTENSION_SUFFIXES)}}}")
+
+
 def _highs(
     c_obj: list[float], rows: list[tuple[int, ...]], b_ub: list[float], n: int
 ) -> tuple[int, str, list[float] | None]:
     """Minimize c_obj.x subject to sum(x[j] for j in rows[i]) <= b_ub[i], x >= 0.
 
-    Returns HiGHS's status, message and x, all as plain Python objects, so a
-    caller that receives them from a worker never imports numpy.
+    HiGHS gets what ``scipy.optimize.linprog(..., method="highs")`` passes:
+    the 0/1 rows column-wise, x in [0, inf), row i in (-inf, b_ub[i]],
+    presolve on and the dual simplex. Returns linprog's status (0 optimal,
+    3 unbounded, else 4 with HiGHS's status string), a message and x.
     """
-    import numpy as np
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_array
+    h = _highs_core()
+    cols: list[list[int]] = [[] for _ in range(n)]
+    for i, members in enumerate(rows):
+        for j in members:
+            cols[j].append(i)
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    start = [0, *accumulate(map(len, cols))]
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = [i for col in cols for i in col]
+    lp.a_matrix_.value_ = [1.0] * start[-1]
+    lp.col_cost_ = c_obj
+    lp.col_lower_, lp.col_upper_ = [0.0] * n, [h.kHighsInf] * n
+    lp.row_lower_, lp.row_upper_ = [-h.kHighsInf] * len(rows), b_ub
 
-    indices = [j for members in rows for j in members]
-    indptr = np.cumsum([0] + [len(members) for members in rows])
-    a_ub = csr_array((np.ones(len(indices)), indices, indptr), shape=(len(rows), n))
-    res = linprog(np.array(c_obj), A_ub=a_ub, b_ub=np.array(b_ub, dtype=float),
-                  bounds=[(0, None)] * n, method="highs")
-    return int(res.status), str(res.message), None if res.x is None else res.x.tolist()
+    options = h.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs = h._Highs()
+    if h.HighsStatus.kError in (highs.passOptions(options), highs.passModel(lp)):
+        status = h.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    if status == h.HighsModelStatus.kOptimal:
+        return 0, "optimal", list(highs.getSolution().col_value)
+    if status == h.HighsModelStatus.kUnbounded:
+        return 3, "unbounded", None
+    return 4, highs.modelStatusToString(status), None
 
 
 def _exact(
@@ -133,50 +178,6 @@ def _exact(
             and sum(bi * yi for bi, yi in zip(b, y)) == sum(wj * xj for wj, xj in zip(w, x))):
         raise OptimumError("exact LP certificate failed")
     return 0, "optimal", [float(v) for v in x]
-
-
-_solved = None   # (scenarios, result) of the open lp_worker, if any
-
-
-def _solve_all(scenarios: list[Scenario]) -> list[tuple[int, str, list[float] | None] | None]:
-    """The LP worker: ``_highs``'s answer to the LP of each of ``scenarios``,
-    None for an unbounded one."""
-    answers = []
-    for scenario in scenarios:
-        try:
-            answers.append(_highs(*_lp(scenario)[2]))
-        except UnboundedOptimumError:
-            answers.append(None)
-    return answers
-
-
-@contextmanager
-def lp_worker(scenarios: list[Scenario]):
-    """Solve, up front and in one forked worker, the LPs of ``scenarios``
-    that go to HiGHS (``_exact_route``), for ``solve_opt`` calls inside the
-    block.
-
-    On entry, if there are any, the worker is forked through
-    ``_fork.forked``; it imports scipy and solves each in turn, while the
-    block runs. A ``solve_opt`` call that needs one of these answers waits
-    for all of them; a worker that failed then raises ``OSError("LP worker
-    failed: ...")``, as it does at the end of a clean block if no call
-    waited. The worker is reaped on every path, and killed first when the
-    block raises. Other scenarios, and every one where the platform has no
-    ``fork``, are solved in-process. Enter it only in a process that runs
-    no other thread, since the fork copies just the calling one.
-    """
-    global _solved
-    wide = [scenario for scenario in scenarios if not _exact_route(scenario)]
-    if not hasattr(os, "fork") or not wide:
-        yield
-        return
-    with forked(partial(_solve_all, wide), "LP worker") as result:
-        _solved = (wide, cache(result))
-        try:
-            yield
-        finally:
-            _solved = None
 
 
 @dataclass(frozen=True)
@@ -280,8 +281,8 @@ def _lp(scenario: Scenario) -> tuple[list[_Segment], list[int], tuple]:
 def solve_opt(scenario: Scenario) -> OptimumSolution:
     """Maximize total weighted throughput over fixed per-path rates.
 
-    The LP goes to ``_exact`` or HiGHS as ``_exact_route`` decides; inside
-    ``lp_worker`` the worker's answer, if it has one, stands for HiGHS's.
+    The LP goes to ``_exact`` or to HiGHS (``_highs``) as ``_exact_route``
+    decides, in this process; OptimumError when HiGHS cannot be loaded.
     Raises UnboundedOptimumError when a positively weighted path traverses
     no finite capacity. Paths with zero weight are assigned rate 0 (any
     capacity they would use is better spent elsewhere).
@@ -295,8 +296,6 @@ def solve_opt(scenario: Scenario) -> OptimumSolution:
 
     if _exact_route(scenario):
         status, message, x = _exact(*args)
-    elif _solved is not None and scenario in _solved[0]:
-        status, message, x = _solved[1]()[_solved[0].index(scenario)]
     else:
         status, message, x = _highs(*args)
     if status == 3:

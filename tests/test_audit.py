@@ -17,7 +17,6 @@ from conftest import (
 )
 from mimdsim import audit
 from mimdsim.audit import (
-    AuditError,
     competitive_ratio,
     measure_fairness,
     summary_line,
@@ -220,14 +219,15 @@ def test_report_assembles_constants_and_threshold():
     assert 0.0 <= report.competitive_ratio <= 1.0 + 1e-9
 
 
-def test_ratio_conventions_and_infeasible_pairing():
+def test_ratio_conventions_against_zero_and_unbounded_optima():
     dead = run(single_link_scenario(cap=0.0, duration=10))
     report = competitive_ratio(dead, OptimumSolution({"p0": 0.0}, 0.0, ()))
     assert report.competitive_ratio == 0.0
 
+    # a positive throughput beats a zero optimum by an unbounded factor
     live = run(single_link_scenario(cap=100.0, duration=10))
-    with pytest.raises(AuditError):
-        competitive_ratio(live, OptimumSolution({"p0": 0.0}, 0.0, ()))
+    beaten = competitive_ratio(live, OptimumSolution({"p0": 0.0}, 0.0, ()))
+    assert beaten.opt_value == 0.0 and beaten.competitive_ratio is None
 
     partial = competitive_ratio(live, None)
     assert partial.opt_value is None and partial.competitive_ratio is None

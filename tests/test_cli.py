@@ -708,21 +708,23 @@ def test_bwtest_two_disjoint_links(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("bandwidth_estimate=")
 
 
-def test_bwtest_gives_the_lp_worker_the_equalized_scenario(tmp_path):
-    # ten paths of value 1 once equalized: the LP goes to the worker, not
-    # to HiGHS in the CLI process
+def test_bwtest_solves_the_equalized_lp_in_process_without_scipy_optimize(tmp_path):
+    # ten paths of value 1 once equalized (two before): the LP goes to HiGHS,
+    # in the CLI process, whose extension loads without scipy.optimize
     doc = json.loads(BWPAIR.read_text())
     doc["connections"] += [{**doc["connections"][0], "id": f"copy{i}", "value": 0.0}
                            for i in range(8)]
     sc = tmp_path / "ten.json"
     sc.write_text(json.dumps(doc))
-    probe = ("import sys; from mimdsim.cli import main; "
+    probe = ("import os, sys; from mimdsim import optimum; from mimdsim.cli import main; "
+             "del os.fork; "
              f"code = main(['--scenario', {str(sc)!r}, '--mode', 'bwtest', "
              f"'--out', {str(tmp_path / 'out')!r}]); "
-             "print(code, 'scipy.optimize' in sys.modules)")
+             "print(code, optimum._highs_core.cache_info().currsize, "
+             "'scipy' in sys.modules, 'scipy.optimize' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=_src_env(), check=True)
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0 1 False False"
 
 
 def test_bwtest_requires_a_common_active_interval(tmp_path, capsys):
@@ -776,6 +778,33 @@ def test_a_policy_seed_is_accepted_and_changes_nothing(tmp_path, capsys):
     assert main(["--scenario", str(sc), "--out", str(tmp_path / "bad")]) == 2
     assert "loss_policy.seed" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("unit", [1.0, 2.0**-40])
+def test_a_positive_throughput_against_a_zero_optimum_leaves_the_ratio_null(
+        tmp_path, capsys, unit):
+    # a fixed rate must be 0 across the capacity-0 round; the protocol sends
+    # around it, at any unit
+    doc = json.loads(SINGLE.read_text())
+    doc["resources"][0]["capacity"] = [{"from_round": 0, "value": 10.0 * unit},
+                                       {"from_round": 5, "value": 0.0},
+                                       {"from_round": 6, "value": 10.0 * unit}]
+    doc["connections"][0].update(active=[0, 19], start_rate=unit)
+    sc = tmp_path / "dip.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--scenario", str(sc), "--out", str(out)]) == 0
+    report = json.loads((out / "audit.json").read_text())
+    assert json.loads((out / "optimum.json").read_text())["opt_value"] == 0.0
+    assert report["opt_value"] == 0.0 and report["competitive_ratio"] is None
+    assert report["weighted_throughput"] > 0.0
+    printed = capsys.readouterr()
+    assert printed.out.startswith("ratio=n/a ")
+    assert printed.err == ("warning: competitive ratio not computed: positive throughput "
+                           f"{report['weighted_throughput']!r} against opt_value 0\n")
+
+    assert main(["--scenario", str(sc), "--mode", "audit", "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err == printed.err
 
 
 def test_an_audit_total_past_the_largest_float_exits_3(tmp_path, capsys):

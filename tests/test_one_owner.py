@@ -3,8 +3,9 @@ sends back; pipes only there and for the export child's row counts; one
 module that turns hop delays into transit rounds, and one that splits loss
 events; a kernel that opens no file; no seed, since nothing in the model is
 random; the rate rule's domain checks and messages only in the protocol;
-and the LP libraries, pickle and mmap load only inside the calls that use
-them."""
+the LP libraries, pickle and mmap load only inside the calls that use
+them; and no module imports scipy, whose HiGHS extension only the optimum
+loads."""
 
 from __future__ import annotations
 
@@ -101,6 +102,22 @@ def test_no_module_imports_numpy_scipy_fractions_pickle_or_mmap_at_import_time()
             found += [(name, r) for r in roots
                       if r.split(".")[0] in ("numpy", "scipy", "fractions", "pickle", "mmap")]
     assert found == []
+
+
+def test_no_module_imports_scipy_and_only_the_optimum_loads_highs():
+    importers, loaders = [], set()
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                importers += [(name, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                importers.append((name, node.module))
+            # a name, an attribute or an imported alias
+            if "ExtensionFileLoader" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                         getattr(node, "name", None)):
+                loaders.add(name)
+    assert importers == []
+    assert loaders == {"optimum.py"}
 
 
 # the rate rule's domain errors, as protocol words them
