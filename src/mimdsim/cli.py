@@ -259,10 +259,16 @@ def cmd_simulate(entries: list[_Entry]) -> int:
     CSVs from a child (``kernel.CsvStream``); otherwise every entry runs
     here. Each fork comes before any LP is solved (see ``optimum``).
     Either way stdout, stderr, the exit code and the files left are those
-    of running each entry in turn. A CLI process killed after its kernel
-    has sent the last rows, or while its sweep child runs, leaves the
-    staged ``.part`` files behind.
+    of running each entry in turn. First it removes the entries' staged
+    ``.part`` names, which a CLI process killed after its kernel has sent
+    the last rows, or while its sweep child runs, leaves behind.
     """
+    for i, (variant, sub, _) in enumerate(entries):
+        for path, _ in kernel.csv_files(variant, sub):
+            with suppress(OSError):   # what it cannot remove, the run reports
+                kernel.staged(path).unlink()
+        if i:
+            _remove_stage(variant, sub)
     reports: list[audit.AuditReport] = []
     forking = hasattr(os, "fork")
     if len(entries) > 1 and forking:

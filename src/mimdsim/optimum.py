@@ -18,11 +18,12 @@ ranges per resource, one per run of binding segments, so their size does
 not grow with the horizon.
 
 Only ``_highs``, the one call into HiGHS, loads scipy's HiGHS extension
-(``_highs_core``), without importing scipy. Only ``_exact`` imports
-fractions. Every LP is solved in the process that calls ``solve_opt``,
-which forks nothing. The extension imports numpy, whose BLAS starts a
-thread, so a process that forks (``_fork.forked``) does so before its
-first HiGHS solve.
+(``_highs_core``), importing neither scipy nor numpy. Only ``_exact``
+imports fractions. Every LP is solved in the process that calls
+``solve_opt``, which forks nothing. A fork copies only the calling thread.
+With ``_highs``'s options HiGHS starts no thread, as a test pins, and a
+process that forks (``_fork.forked``) still does so before its first
+HiGHS solve, so that no fork rests on it.
 """
 
 from __future__ import annotations
@@ -90,29 +91,32 @@ def _highs(
     3 unbounded, else 4 with HiGHS's status string), a message and x.
     """
     h = _highs_core()
-    cols: list[list[int]] = [[] for _ in range(n)]
-    for i, members in enumerate(rows):
-        for j in members:
-            cols[j].append(i)
-    lp = h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    start = [0, *accumulate(map(len, cols))]
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = [i for col in cols for i in col]
-    lp.a_matrix_.value_ = [1.0] * start[-1]
-    lp.col_cost_ = c_obj
-    lp.col_lower_, lp.col_upper_ = [0.0] * n, [h.kHighsInf] * n
-    lp.row_lower_, lp.row_upper_ = [-h.kHighsInf] * len(rows), b_ub
-
     options = h.HighsOptions()
     options.presolve = "on"
     options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
     options.output_flag = options.log_to_console = False
     options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     highs = h._Highs()
-    if h.HighsStatus.kError in (highs.passOptions(options), highs.passModel(lp)):
+    # the quiet options go first, or HiGHS prints its banner to fd 1; the
+    # binding's col_cost_ setter imports numpy, so HiGHS builds the costs and
+    # the column bounds [0, inf) one column at a time and hands back the LP
+    built = [highs.passOptions(options), highs.passModel(h.HighsLp())]
+    for j, cost in enumerate(c_obj):
+        built += highs.addVar(0.0, h.kHighsInf), highs.changeColCost(j, cost)
+    lp = highs.getLp()
+
+    cols: list[list[int]] = [[] for _ in range(n)]
+    for i, members in enumerate(rows):
+        for j in members:
+            cols[j].append(i)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    start = [0, *accumulate(map(len, cols))]
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = [i for col in cols for i in col]
+    lp.a_matrix_.value_ = [1.0] * start[-1]
+    lp.row_lower_, lp.row_upper_ = [-h.kHighsInf] * len(rows), b_ub
+    if h.HighsStatus.kError in (*built, highs.passModel(lp)):
         status = h.HighsModelStatus.kModelError
     else:
         highs.run()

@@ -28,6 +28,7 @@ from mimdsim import audit, kernel, optimum
 from mimdsim.cli import _sweep_variant, main
 from mimdsim.model import emit_scenario, parse_scenario
 from mimdsim.optimum import UnboundedOptimumError
+from test_highs import _nine_flows
 
 REPO = Path(__file__).resolve().parent.parent
 SINGLE = REPO / "scenarios" / "single_link.json"
@@ -504,6 +505,20 @@ def test_a_failure_in_the_cli_processs_share_keeps_an_earlier_runs_files(
     assert forked == unforked
 
 
+def test_a_run_first_removes_what_a_killed_run_left_staged(tmp_path, monkeypatch, capsys):
+    stale = [".path_flow.csv.part", "eps0.1_dur2/.resource_link.csv.part",
+             ".eps0.1_dur2.part/path_flow.csv", ".eps0.1_dur2.part/audit.json"]
+    for name in ("forked", "unforked"):
+        for rel in [*stale, ".unrelated"]:
+            (tmp_path / name / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name / rel).write_text("from a killed run\n")
+    forked, unforked = with_and_without_fork(tmp_path, monkeypatch, capsys, [
+        "--scenario", str(SINGLE), "--sweep-epsilon", "0.1", "--sweep-duration", "2"])
+    assert forked[0] == 0 and forked == unforked
+    assert forked[3][".unrelated"] == b"from a killed run\n"
+    assert not [rel for rel in forked[3] if ".part" in rel]
+
+
 def test_a_sweep_child_that_dies_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
     cli_pid, run = os.getpid(), kernel.run
 
@@ -697,6 +712,29 @@ def test_an_overflowing_sweep_duration_exits_2_before_anything_is_written(tmp_pa
         "", "error: --sweep-duration: 1e+308 overflows a connection's window\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_a_wide_solve_loads_neither_numpy_nor_scipy_and_starts_no_thread(tmp_path):
+    sc = _nine_flows(tmp_path)
+    probe = f"""
+import os, sys
+from mimdsim import optimum
+from mimdsim.cli import load_scenario, main
+
+def seen():
+    print(optimum._highs_core.cache_info().currsize, len(os.listdir("/proc/self/task")),
+          [m for m in ("numpy", "scipy", "scipy.optimize") if m in sys.modules])
+
+optimum.solve_opt(load_scenario({str(sc)!r}))
+seen()
+main(["--scenario", {str(sc)!r}, "--mode", "opt", "--out", {str(tmp_path / "out")!r}])
+seen()
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_src_env(), check=True)
+    solved, printed, ran = proc.stdout.splitlines()
+    assert solved == ran == "1 1 []" and printed.startswith("opt_value=")
 
 
 def test_bwtest_two_disjoint_links(tmp_path, capsys):

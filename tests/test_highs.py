@@ -4,7 +4,7 @@
 importing scipy, with the model and options that ``scipy.optimize.linprog(...,
 method="highs")`` passes it; linprog stays here as the reference. Only LPs
 of more than ``EXACT_MAX_COLUMNS`` weighted paths take this route, so these
-tests draw 9-12 paths.
+tests draw 9-12 paths, and 100-300 at the scale of the widest benchmark.
 """
 
 from __future__ import annotations
@@ -19,10 +19,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import lp_instance, random_scenario, with_and_without_fork
+from conftest import (
+    lp_instance,
+    random_scenario,
+    simple_conn,
+    step_resource,
+    with_and_without_fork,
+)
 from mimdsim import optimum
 from mimdsim.cli import main
-from mimdsim.model import emit_scenario, parse_scenario
+from mimdsim.model import Scenario, emit_scenario, parse_scenario, require_valid
 from mimdsim.optimum import OptimumError, solve_opt
 from test_unit_free import scaled
 
@@ -33,6 +39,29 @@ SINGLE = REPO / "scenarios" / "single_link.json"
 def _wide(rng):
     """An ``lp_instance`` that HiGHS solves: 9-12 weighted paths."""
     return lp_instance(rng, n_paths=rng.randint(9, 12))
+
+
+def _mesh(rng) -> Scenario:
+    """100-300 paths over 50 resources with 0-3 capacity steps each, routes
+    of 1-4 hops (same-round chains among them), windows within 500 rounds."""
+    resources = []
+    for i in range(50):
+        rounds = [0, *sorted(rng.sample(range(1, 500), rng.randint(0, 3)))]
+        resources.append(step_resource(f"r{i}", [(t, rng.randint(2, 80) / 2.0) for t in rounds]))
+    conns = []
+    for j in range(rng.randint(100, 300)):
+        hops = sorted(rng.sample(range(50), rng.randint(1, 4)))   # keeps transit acyclic
+        hop_delays = [rng.randint(0, 3)]
+        for _ in hops[1:]:
+            hop_delays.append(rng.randint(0, hop_delays[-1]))
+        start = rng.randint(0, 400)
+        conns.append(simple_conn(
+            f"p{j}", tuple(f"r{h}" for h in hops), value=rng.randint(1, 4) / 4.0,
+            start=start, end=start + rng.randint(20, 90),
+            delay=hop_delays[0] + rng.randint(0, 1), hop_delays=tuple(hop_delays)))
+    scenario = Scenario(tuple(resources), tuple(conns), epsilon=0.1)
+    require_valid(scenario)
+    return scenario
 
 
 def _wide_file(tmp_path) -> Path:
@@ -80,6 +109,19 @@ def _assert_highs_matches_linprog(lps) -> None:
 def test_highs_answers_equal_linprog_s_bit_for_bit():
     rng = random.Random(0x1F0)
     _assert_highs_matches_linprog([optimum._lp(_wide(rng))[2] for _ in range(100)])
+
+
+def test_lps_of_100_to_300_columns_over_50_resources_match_linprog_bit_for_bit():
+    rng = random.Random(0x3E5)
+    lps = [optimum._lp(_mesh(rng))[2] for _ in range(6)]
+    assert all(100 <= n <= 300 for *_, n in lps)
+    _assert_highs_matches_linprog(lps)
+
+
+def test_a_wide_solve_writes_nothing_to_stdout_or_stderr(capfd):
+    # HiGHS prints its banner to fd 1 when given a model before the quiet options
+    solve_opt(_mesh(random.Random(5)))
+    assert capfd.readouterr() == ("", "")
 
 
 def test_an_unbounded_lp_has_linprog_s_status():
@@ -158,7 +200,8 @@ def test_a_sweep_of_wide_lps_matches_an_unforked_one(monkeypatch, tmp_path, caps
 @pytest.mark.parametrize("sweep, solves", [([], 1), (["--sweep-duration", "1"], 2)],
                          ids=["one entry", "sweep of one"])
 def test_no_process_forks_after_its_first_highs_call(monkeypatch, tmp_path, sweep, solves):
-    # the HiGHS extension imports numpy, whose BLAS starts a thread
+    # a fork copies only the calling thread; HiGHS starts none with optimum's
+    # options (test_cli checks a solving process runs one), and no fork rests on that
     log = tmp_path / "calls"
     fork, highs = os.fork, optimum._highs
 

@@ -4,8 +4,8 @@ module that turns hop delays into transit rounds, and one that splits loss
 events; a kernel that opens no file; no seed, since nothing in the model is
 random; the rate rule's domain checks and messages only in the protocol;
 the LP libraries, pickle and mmap load only inside the calls that use
-them; and no module imports scipy, whose HiGHS extension only the optimum
-loads."""
+them; no module imports scipy, whose HiGHS extension only the optimum
+loads; and none sets an LP's costs through the binding's numpy setter."""
 
 from __future__ import annotations
 
@@ -118,6 +118,15 @@ def test_no_module_imports_scipy_and_only_the_optimum_loads_highs():
                 loaders.add(name)
     assert importers == []
     assert loaders == {"optimum.py"}
+
+
+def test_no_module_sets_a_highs_lp_s_col_cost():
+    # the binding's col_cost_ setter imports numpy; HiGHS builds the costs itself
+    setters = sorted(name for name, tree in _modules().items() for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "col_cost_"
+                     and isinstance(node.ctx, ast.Store)
+                     or isinstance(node, ast.Constant) and node.value == "col_cost_")
+    assert setters == []
 
 
 # the rate rule's domain errors, as protocol words them
