@@ -263,12 +263,10 @@ def cmd_simulate(entries: list[_Entry]) -> int:
     ``.part`` names, which a CLI process killed after its kernel has sent
     the last rows, or while its sweep child runs, leaves behind.
     """
-    for i, (variant, sub, _) in enumerate(entries):
-        for path, _ in kernel.csv_files(variant, sub):
-            with suppress(OSError):   # what it cannot remove, the run reports
-                kernel.staged(path).unlink()
-        if i:
-            _remove_stage(variant, sub)
+    for variant, sub, _ in entries:
+        kernel.remove_staged(p for p, _ in kernel.csv_files(variant, sub))
+    for variant, sub, _ in entries[1:]:   # the base entry is never staged whole
+        _remove_stage(variant, sub)
     reports: list[audit.AuditReport] = []
     forking = hasattr(os, "fork")
     if len(entries) > 1 and forking:

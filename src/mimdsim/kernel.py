@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from array import array
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from functools import partial
@@ -431,7 +431,7 @@ class CsvStream:
         try:
             self._child.__exit__(*exc_info)   # kills the child if the block raised
         finally:
-            _remove_staged(self._files)
+            remove_staged(p for p, _, _ in self._files)
 
     def __call__(self, trace: RunTrace, t: int) -> None:
         if self._rows_to is None:
@@ -468,7 +468,7 @@ class CsvStream:
             while done < n_rounds:
                 count = published.read(8)
                 if len(count) < 8:
-                    _remove_staged(self._files)
+                    remove_staged(p for p, _, _ in self._files)
                     raise EOFError(f"rows {done} to {n_rounds - 1} were never published")
                 final = int.from_bytes(count, "little")
                 if final < n_rounds or len(files) < 2:
@@ -488,15 +488,15 @@ class CsvStream:
             for p, _, _ in files:
                 os.replace(staged(p), p)
         except BaseException:
-            _remove_staged(files)
+            remove_staged(p for p, _, _ in files)
             raise
         return [p for p, _, _ in files]
 
 
-def _remove_staged(files: list[_CsvFile]) -> None:
-    """Remove what is staged of ``files``, as far as it can be: this runs on
-    failure paths, whose own error is the one to report."""
-    for p, _, _ in files:
+def remove_staged(paths: Iterable[Path]) -> None:
+    """Remove what is staged of ``paths``, as far as it can be: this runs on
+    failure paths and before a run, whose own error is the one to report."""
+    for p in paths:
         with suppress(OSError):
             staged(p).unlink()
 

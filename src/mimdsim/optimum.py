@@ -21,9 +21,10 @@ Only ``_highs``, the one call into HiGHS, loads scipy's HiGHS extension
 (``_highs_core``), importing neither scipy nor numpy. Only ``_exact``
 imports fractions. Every LP is solved in the process that calls
 ``solve_opt``, which forks nothing. A fork copies only the calling thread.
-With ``_highs``'s options HiGHS starts no thread, as a test pins, and a
-process that forks (``_fork.forked``) still does so before its first
-HiGHS solve, so that no fork rests on it.
+``_highs`` holds HiGHS to one thread, so it starts none, as tests pin
+(by default it would start (CPUs + 1) // 2 - 1), and a process that forks
+(``_fork.forked``) still does so before its first HiGHS solve, so that no
+fork rests on it.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ def _highs(
     options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
     options.output_flag = options.log_to_console = False
     options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.threads = 1   # else run() starts (CPUs + 1) // 2 - 1 worker threads
     highs = h._Highs()
     # the quiet options go first, or HiGHS prints its banner to fd 1; the
     # binding's col_cost_ setter imports numpy, so HiGHS builds the costs and

@@ -124,6 +124,23 @@ def test_a_wide_solve_writes_nothing_to_stdout_or_stderr(capfd):
     assert capfd.readouterr() == ("", "")
 
 
+def test_highs_runs_with_one_thread_whatever_the_host_s_cpu_count(monkeypatch):
+    # at its default of 0 threads HiGHS starts (CPUs + 1) // 2 - 1 worker
+    # threads, none on a 2-CPU host, so a thread count alone cannot tell
+    core, seen = optimum._highs_core(), []
+
+    class Noting(core._Highs):
+        def run(self):
+            seen.append(self.getOptions().threads)
+            return super().run()
+
+    noting = types.SimpleNamespace(**vars(core))
+    noting._Highs = Noting
+    monkeypatch.setattr(optimum, "_highs_core", lambda: noting)
+    assert optimum._highs(*optimum._lp(_wide(random.Random(1)))[2])[0] == 0
+    assert seen == [1]
+
+
 def test_an_unbounded_lp_has_linprog_s_status():
     # column 1 meets no row
     lp = ([-1.0, -1.0], [(0,)], [1.0], 2)
@@ -201,7 +218,8 @@ def test_a_sweep_of_wide_lps_matches_an_unforked_one(monkeypatch, tmp_path, caps
                          ids=["one entry", "sweep of one"])
 def test_no_process_forks_after_its_first_highs_call(monkeypatch, tmp_path, sweep, solves):
     # a fork copies only the calling thread; HiGHS starts none with optimum's
-    # options (test_cli checks a solving process runs one), and no fork rests on that
+    # one-thread option (pinned above, and test_cli checks a solving process
+    # runs one thread), and no fork rests on that
     log = tmp_path / "calls"
     fork, highs = os.fork, optimum._highs
 
