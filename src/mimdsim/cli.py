@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext, redirect_stderr, suppress
+from contextlib import nullcontext, redirect_stderr
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
@@ -181,14 +181,14 @@ def _run_in_two(entries: list[_Entry], reports: list[audit.AuditReport]) -> None
     The entries are cut where the running sum of their sizes (rows times
     CSV columns) first reaches half, leaving the child at least one; this
     process runs the head, the child the tail, each entry whole. The child
-    writes each entry's files into the ``kernel.staged`` name of its
-    directory and returns its reports, its stderr text and the exception of
-    its first failing entry, where it stops. Once the head has succeeded,
-    the files of the tail's entries up to that one are moved into place,
-    the text is written and the exception raised. Whatever else is staged
-    is removed (the whole tail, if the head fails and the child is killed),
-    so the files left are those of a one-process run, an earlier run's
-    files included.
+    writes each entry's files into its own directory within the base
+    directory's ``kernel.staged`` stage (``<base>/.part/<entry>/``) and
+    returns its reports, its stderr text and the exception of its first
+    failing entry, where it stops. Once the head has succeeded, the tail's
+    entries up to that one are published, the text is written and the
+    exception raised. Then the stage is discarded whole (with all of the
+    tail, if the head fails and the child is killed), so the files left are
+    those of a one-process run, an earlier run's files included.
     """
     sizes = [(variant.horizon + 1) * sum(len(columns) for _, columns
                                          in kernel.csv_files(variant, sub))
@@ -197,13 +197,14 @@ def _run_in_two(entries: list[_Entry], reports: list[audit.AuditReport]) -> None
     cut = min(next(i for i, so_far in enumerate(accumulate(sizes), 1) if 2 * so_far >= total),
               len(entries) - 1)
     head, tail = entries[:cut], entries[cut:]
+    stage = kernel.staged(entries[0][1])
 
     def run_tail() -> tuple[list[audit.AuditReport], str, Exception | None]:
         done: list[audit.AuditReport] = []
         with redirect_stderr(io.StringIO()) as text:
             try:
                 for variant, sub, _ in tail:
-                    done.append(_run_entry(variant, kernel.staged(sub), False))
+                    done.append(_run_entry(variant, stage / sub.name, False))
             except Exception as exc:
                 return done, text.getvalue(), exc
         return done, text.getvalue(), None
@@ -213,41 +214,14 @@ def _run_in_two(entries: list[_Entry], reports: list[audit.AuditReport]) -> None
             _run_in_order(head, reports, False)
             done, text, failure = result()
         # the tail's entries up to its failing one are those a one-process run reaches
-        for variant, sub, _ in tail[:len(done) + (failure is not None)]:
-            _unstage(variant, sub)
+        for _, sub, _ in tail[:len(done) + (failure is not None)]:
+            kernel.publish(stage / sub.name, sub)
     finally:
-        for variant, sub, _ in tail:
-            _remove_stage(variant, sub)
+        kernel.discard(stage)
     reports += done
     sys.stderr.write(text)
     if failure is not None:
         raise failure
-
-
-def _entry_files(variant: Scenario, sub: Path) -> list[Path]:
-    """Every file ``_run_entry`` writes for ``variant`` into ``sub``."""
-    return ([path for path, _ in kernel.csv_files(variant, sub)]
-            + [sub / "optimum.json", sub / "audit.json"])
-
-
-def _unstage(variant: Scenario, sub: Path) -> None:
-    """Move the files the sweep child wrote for one entry into ``sub``,
-    creating it as ``kernel.export_trace`` would have."""
-    stage = kernel.staged(sub)
-    if not stage.is_dir():   # its kernel failed
-        return
-    sub.mkdir(exist_ok=True)
-    for path in _entry_files(variant, sub):
-        with suppress(FileNotFoundError):   # its entry failed before this file
-            os.replace(stage / path.name, path)
-
-
-def _remove_stage(variant: Scenario, sub: Path) -> None:
-    stage = kernel.staged(sub)
-    with suppress(OSError):
-        for path in _entry_files(variant, stage):
-            path.unlink(missing_ok=True)
-        stage.rmdir()
 
 
 def cmd_simulate(entries: list[_Entry]) -> int:
@@ -259,14 +233,13 @@ def cmd_simulate(entries: list[_Entry]) -> int:
     CSVs from a child (``kernel.CsvStream``); otherwise every entry runs
     here. Each fork comes before any LP is solved (see ``optimum``).
     Either way stdout, stderr, the exit code and the files left are those
-    of running each entry in turn. First it removes the entries' staged
-    ``.part`` names, which a CLI process killed after its kernel has sent
-    the last rows, or while its sweep child runs, leaves behind.
+    of running each entry in turn. First it discards the stage
+    (``kernel.staged``) of every entry's directory, which a CLI process
+    killed after its kernel has sent the last rows, or while its sweep
+    child runs, leaves behind.
     """
-    for variant, sub, _ in entries:
-        kernel.remove_staged(p for p, _ in kernel.csv_files(variant, sub))
-    for variant, sub, _ in entries[1:]:   # the base entry is never staged whole
-        _remove_stage(variant, sub)
+    for _, sub, _ in entries:
+        kernel.discard(kernel.staged(sub))
     reports: list[audit.AuditReport] = []
     forking = hasattr(os, "fork")
     if len(entries) > 1 and forking:

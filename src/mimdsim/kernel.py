@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from array import array
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from functools import partial
@@ -164,7 +164,8 @@ def run(scenario: Scenario,
     ``0..t`` are then final: round ``t`` writes no row before ``t``, since
     a cohort is cut only while it is in flight, in the row it arrives in.
     The call for the last round comes after the end-of-run checks, so once
-    it is made the run has succeeded.
+    it is made the run has succeeded. A run of no round (no connection)
+    makes no call.
     """
     require_valid(scenario)
     conns = scenario.connections
@@ -308,7 +309,7 @@ def run(scenario: Scenario,
         raise KernelError(
             f"conservation breach: paths lost {path_lost}, resources lost {res_lost}"
         )
-    if on_round is not None:
+    if on_round is not None and n_rounds:
         on_round(trace, horizon)
     return trace
 
@@ -336,8 +337,9 @@ def loss_totals(trace: RunTrace) -> tuple[float, float]:
 # shared mapping, so the child reads every row the kernel stores after the
 # fork, and row t is final once round t has ended. Only round counts cross
 # the pipe, and its syscalls order the child's reads after the kernel's
-# stores. Files are written under staged names and moved into place only
-# once all are complete.
+# stores. The child writes the files into the output directory's one hidden
+# stage (``staged``), which ``publish`` moves into place once all are
+# complete and ``discard`` removes whole otherwise.
 # ---------------------------------------------------------------------------
 
 _CSV_CHUNK_ROWS = 4096
@@ -356,10 +358,35 @@ def csv_files(scenario: Scenario, outdir: Path) -> list[tuple[Path, tuple[str, .
                for r in scenario.resources])
 
 
-def staged(path: Path) -> Path:
-    """The hidden name beside ``path`` that it is written under until it is
-    complete and moved into place."""
-    return path.with_name(f".{path.name}.part")
+def staged(outdir: Path) -> Path:
+    """The hidden stage of ``outdir``: what a forked process writes for it
+    goes there until it is complete, then ``publish`` moves it into place."""
+    return outdir / ".part"
+
+
+def publish(stage: Path, outdir: Path) -> None:
+    """Move everything in ``stage`` into ``outdir``, creating it as
+    ``export_trace`` would, then remove the stage; a stage that was never
+    made publishes nothing."""
+    if stage.is_dir():
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name in os.listdir(stage):
+            os.replace(stage / name, outdir / name)
+        stage.rmdir()
+
+
+def discard(stage: Path) -> None:
+    """Remove ``stage`` whole, as far as it can be: this runs on failure
+    paths and before a run, whose own error is the one to report."""
+    with suppress(OSError), os.scandir(stage) as entries:
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):   # a link is removed, not followed
+                discard(Path(entry.path))
+            else:
+                with suppress(OSError):
+                    os.unlink(entry.path)
+    with suppress(OSError):
+        stage.rmdir()
 
 
 def _csv_files(trace: RunTrace, outdir: Path) -> list[_CsvFile]:
@@ -396,42 +423,46 @@ def _append_rows(files: list[_CsvFile], lo: int, hi: int) -> None:
         with p.open("a" if lo else "w") as f:
             if not lo:
                 f.write(_csv_header(columns))
-            f.write(_csv_rows(record, columns, lo, hi))
+            if lo < hi:
+                f.write(_csv_rows(record, columns, lo, hi))
 
 
 class CsvStream:
     """Writes a run's CSVs behind its kernel, in one forked child.
 
     Enter it, pass it to ``run`` as ``on_round`` inside the block, and end
-    the block with ``export_trace``, which finishes it. After round 0 it
-    forks the child through ``_fork.forked``; then, each time
-    _CSV_CHUNK_ROWS more rows are final, and once the run has passed its
-    checks, it sends the child the count of final rows, and the child
-    appends them to every file under its ``staged`` name. The kernel needs
-    no core for the last rows, so the child writes them with one helper it
-    forks, half the files each. ``export_trace`` reaps the child and only
-    then moves the files into place. If the block raises first, the child
-    is killed and the staged files are removed, so a failed run leaves no
-    CSV and leaves an earlier run's files as they were. A child whose parent
-    dies reads EOF, removes the staged files and exits. Use it only in a
-    process that runs no other thread, since the fork copies just the
-    calling one.
+    the block with ``export_trace``, which finishes it. Entering it discards
+    what a killed run left in the output directory's stage (``staged``).
+    After round 0 it forks the child through ``_fork.forked``; then, each
+    time _CSV_CHUNK_ROWS more rows are final, and once the run has passed
+    its checks, it sends the child the count of final rows, and the child
+    appends them to every file in the stage. The kernel needs no core for
+    the last rows, so the child writes them with one helper it forks, half
+    the files each. ``export_trace`` reaps the child and only then publishes
+    the stage. If the block raises first, the child is killed and the stage
+    discarded, so a failed run leaves no CSV and leaves an earlier run's
+    files as they were. A child whose parent dies reads EOF, discards the
+    stage and exits. A run of no round forks nothing, and ``export_trace``
+    writes its headers here. Use it only in a process that runs no other
+    thread, since the fork copies just the calling one.
     """
 
     def __init__(self, outdir: str | Path) -> None:
         self.outdir = Path(outdir)
-        self._files: list[_CsvFile] = []   # final paths, until moved into place
+        self._stage = staged(self.outdir)
+        self._files: list[_CsvFile] = []   # in the stage, once forked
         self._rows_to: int | None = None   # the pipe's write end, once forked
         self._child = ExitStack()
 
     def __enter__(self) -> CsvStream:
+        discard(self._stage)
         return self
 
     def __exit__(self, *exc_info) -> None:
         try:
             self._child.__exit__(*exc_info)   # kills the child if the block raised
         finally:
-            remove_staged(p for p, _, _ in self._files)
+            discard(self._stage)
 
     def __call__(self, trace: RunTrace, t: int) -> None:
         if self._rows_to is None:
@@ -443,7 +474,7 @@ class CsvStream:
 
     def _fork(self, trace: RunTrace) -> None:
         trace.stream = self
-        self._files = _csv_files(trace, self.outdir)
+        self._files = _csv_files(trace, self._stage)
         read_fd, write_fd = os.pipe()
         try:
             self._child.enter_context(forked(
@@ -458,57 +489,48 @@ class CsvStream:
         self._child.callback(os.close, write_fd)   # runs before the reap
 
     def _write(self, n_rounds: int, read_fd: int, write_fd: int) -> None:
-        """The child: append each chunk of rows to the staged files once it is
-        final."""
+        """The child: append each chunk of rows to the files in the stage
+        once it is final."""
         os.close(write_fd)
-        files = [(staged(p), record, columns) for p, record, columns in self._files]
-        self.outdir.mkdir(parents=True, exist_ok=True)
+        self._stage.mkdir(parents=True, exist_ok=True)
         done = 0
         with open(read_fd, "rb") as published:
             while done < n_rounds:
                 count = published.read(8)
                 if len(count) < 8:
-                    remove_staged(p for p, _, _ in self._files)
+                    discard(self._stage)
                     raise EOFError(f"rows {done} to {n_rounds - 1} were never published")
                 final = int.from_bytes(count, "little")
-                if final < n_rounds or len(files) < 2:
-                    _append_rows(files, done, final)
+                if final < n_rounds or len(self._files) < 2:
+                    _append_rows(self._files, done, final)
                 else:   # the run has ended: a helper takes half the files
-                    with forked(partial(_append_rows, files[1::2], done, final),
+                    with forked(partial(_append_rows, self._files[1::2], done, final),
                                 "trace export helper"):
-                        _append_rows(files[::2], done, final)
+                        _append_rows(self._files[::2], done, final)
                 done = final
 
     def finish(self) -> list[Path]:
-        """Wait for the child, then move every file into place; returns the
-        final paths."""
-        files, self._files = self._files, []
+        """Wait for the child, then publish the stage; returns the final
+        paths."""
         try:
             self._child.close()   # closes the pipe and reaps; raises if the child failed
-            for p, _, _ in files:
-                os.replace(staged(p), p)
+            publish(self._stage, self.outdir)
         except BaseException:
-            remove_staged(p for p, _, _ in files)
+            discard(self._stage)
             raise
-        return [p for p, _, _ in files]
-
-
-def remove_staged(paths: Iterable[Path]) -> None:
-    """Remove what is staged of ``paths``, as far as it can be: this runs on
-    failure paths and before a run, whose own error is the one to report."""
-    for p in paths:
-        with suppress(OSError):
-            staged(p).unlink()
+        return [self.outdir / p.name for p, _, _ in self._files]
 
 
 def export_trace(trace: RunTrace, outdir: str | Path) -> list[Path]:
     """Write all per-path and per-resource CSVs (``csv_files``); returns the
-    paths written, in that order, once every file is complete.
+    paths written, in that order, once every file is complete. A trace of
+    no round gets each file's header alone.
 
     A finished trace is written here. A trace that a ``CsvStream`` is
     writing is finished by it (``CsvStream.finish``) into the directory it
-    was given: the child is reaped before this returns, and a child that
-    failed raises ``OSError`` naming its exception, leaving no CSV.
+    was given: the child is reaped and the stage published before this
+    returns, and a child that failed raises ``OSError`` naming its
+    exception, leaving no CSV.
     """
     stream, trace.stream = trace.stream, None
     if stream is not None:
@@ -517,6 +539,6 @@ def export_trace(trace: RunTrace, outdir: str | Path) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     files = _csv_files(trace, outdir)
     n_rounds = trace.horizon + 1
-    for lo in range(0, n_rounds, _CSV_CHUNK_ROWS):
+    for lo in range(0, max(n_rounds, 1), _CSV_CHUNK_ROWS):
         _append_rows(files, lo, min(lo + _CSV_CHUNK_ROWS, n_rounds))
     return [p for p, _, _ in files]

@@ -38,6 +38,9 @@ class ScenarioValidationError(ValueError):
         lines = "; ".join(str(v) for v in violations)
         super().__init__(f"invalid scenario: {lines}")
 
+    def __reduce__(self):   # pickle rebuilds it from the violations, not the message
+        return type(self), (self.violations,)
+
 
 @dataclass(frozen=True)
 class Violation:

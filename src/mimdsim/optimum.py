@@ -86,10 +86,11 @@ def _highs(
 ) -> tuple[int, str, list[float] | None]:
     """Minimize c_obj.x subject to sum(x[j] for j in rows[i]) <= b_ub[i], x >= 0.
 
-    HiGHS gets what ``scipy.optimize.linprog(..., method="highs")`` passes:
-    the 0/1 rows column-wise, x in [0, inf), row i in (-inf, b_ub[i]],
-    presolve on and the dual simplex. Returns linprog's status (0 optimal,
-    3 unbounded, else 4 with HiGHS's status string), a message and x.
+    HiGHS gets the LP ``scipy.optimize.linprog(..., method="highs")``
+    passes (there column-wise, here row-wise as ``_lp`` builds it; ``n``
+    goes unused): x in [0, inf), row i in (-inf, b_ub[i]], presolve on and
+    the dual simplex. Returns linprog's status (0 optimal, 3 unbounded,
+    else 4 with HiGHS's status string), a message and x.
     """
     h = _highs_core()
     options = h.HighsOptions()
@@ -107,15 +108,11 @@ def _highs(
         built += highs.addVar(0.0, h.kHighsInf), highs.changeColCost(j, cost)
     lp = highs.getLp()
 
-    cols: list[list[int]] = [[] for _ in range(n)]
-    for i, members in enumerate(rows):
-        for j in members:
-            cols[j].append(i)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    start = [0, *accumulate(map(len, cols))]
+    lp.a_matrix_.format_ = h.MatrixFormat.kRowwise
+    start = [0, *accumulate(map(len, rows))]
     lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = [i for col in cols for i in col]
+    lp.a_matrix_.index_ = [j for members in rows for j in members]
     lp.a_matrix_.value_ = [1.0] * start[-1]
     lp.row_lower_, lp.row_upper_ = [-h.kHighsInf] * len(rows), b_ub
     if h.HighsStatus.kError in (*built, highs.passModel(lp)):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import math
 import os
+import pickle
 import random
 import runpy
 import subprocess
@@ -25,9 +28,18 @@ from conftest import (
     with_and_without_fork,
 )
 from mimdsim import audit, kernel, optimum
-from mimdsim.cli import _sweep_variant, main
-from mimdsim.model import emit_scenario, parse_scenario
-from mimdsim.optimum import UnboundedOptimumError
+from mimdsim.audit import BandwidthTestError
+from mimdsim.cli import UsageError, _sweep_variant, main
+from mimdsim.kernel import KernelError
+from mimdsim.model import (
+    ScenarioParseError,
+    ScenarioValidationError,
+    Violation,
+    emit_scenario,
+    parse_scenario,
+)
+from mimdsim.optimum import OptimumError, UnboundedOptimumError
+from mimdsim.protocol import ProtocolError
 from test_highs import _nine_flows
 
 REPO = Path(__file__).resolve().parent.parent
@@ -506,17 +518,83 @@ def test_a_failure_in_the_cli_processs_share_keeps_an_earlier_runs_files(
 
 
 def test_a_run_first_removes_what_a_killed_run_left_staged(tmp_path, monkeypatch, capsys):
-    stale = [".path_flow.csv.part", "eps0.1_dur2/.resource_link.csv.part",
-             ".eps0.1_dur2.part/path_flow.csv", ".eps0.1_dur2.part/audit.json"]
-    for name in ("forked", "unforked"):
-        for rel in [*stale, ".unrelated"]:
-            (tmp_path / name / rel).parent.mkdir(parents=True, exist_ok=True)
-            (tmp_path / name / rel).write_text("from a killed run\n")
+    # each stage is discarded whole, names this run does not write included,
+    # and nothing in it is moved into place
+    stale = [".part/path_flow.csv", ".part/eps0.1_dur2/path_flow.csv",
+             ".part/eps0.1_dur2/audit.json", ".part/path_gone.csv",
+             ".part/eps0.1_dur2/path_gone.csv", ".part/eps9_dur9/audit.json"]
+    sweep = ["--sweep-epsilon", "0.1", "--sweep-duration", "2"]
+    # a sweep also discards the stage of each entry's directory
+    for i, (flags, entry_stage) in enumerate([([], []),
+                                              (sweep, ["eps0.1_dur2/.part/resource_link.csv"])]):
+        for name in ("forked", "unforked"):
+            for rel in [*stale, *entry_stage, ".unrelated"]:
+                (tmp_path / str(i) / name / rel).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / str(i) / name / rel).write_text("from a killed run\n")
+        with monkeypatch.context() as mp:
+            forked, unforked = with_and_without_fork(tmp_path / str(i), mp, capsys,
+                                                      ["--scenario", str(SINGLE), *flags])
+        assert forked[0] == 0 and forked == unforked
+        assert [rel for rel, data in forked[3].items()
+                if data == b"from a killed run\n"] == [".unrelated"]
+        assert not [rel for rel in forked[3] if ".part" in rel]
+
+
+def _equal_links(values: tuple[float, ...]) -> dict:
+    """A path per value (``a``, then ``b``) on one link of capacity 10, over
+    rounds 0-40."""
+    return {"resources": [{"id": "link", "capacity": [{"from_round": 0, "value": 10}]}],
+            "connections": [{"id": cid, "route": ["link"], "hop_delays": [0],
+                             "total_delay": 0, "active": [0, 40], "start_rate": 1,
+                             "alpha": 0.01, "beta": 0.1, "value": value}
+                            for cid, value in zip("ab", values)],
+            "epsilon": 0.1}
+
+
+def test_an_invalid_entry_in_the_childs_share_exits_2_as_an_unforked_sweep_does(
+        tmp_path, monkeypatch, capsys):
+    # at epsilon 0.05, path b's value of 1e-14 gives a rate rule too small
+    # for its start rate; the base and epsilon 0.2 are valid
+    sc = tmp_path / "tiny.json"
+    sc.write_text(json.dumps(_equal_links((1.0, 1e-14))))
     forked, unforked = with_and_without_fork(tmp_path, monkeypatch, capsys, [
-        "--scenario", str(SINGLE), "--sweep-epsilon", "0.1", "--sweep-duration", "2"])
-    assert forked[0] == 0 and forked == unforked
-    assert forked[3][".unrelated"] == b"from a killed run\n"
-    assert not [rel for rel in forked[3] if ".part" in rel]
+        "--scenario", str(sc), "--sweep-epsilon", "0.2,0.05", "--sweep-duration", "1,2"])
+    assert forked[0] == 2 and forked[2] == (
+        "error: invalid scenario: connection 'b': start_rate 1.0 is too small: "
+        "(1 + alpha) * start_rate must exceed it and (beta - alpha) * start_rate "
+        "must not round to 0\n")
+    assert forked == unforked
+
+
+def test_every_error_main_reports_unpickles_to_its_type_and_message():
+    # a sweep child's failure comes back pickled; the handlers that return
+    # an exit code each catch a tuple of classes
+    handled = {name.id for node in ast.walk(ast.parse(inspect.getsource(main)))
+               if isinstance(node, ast.ExceptHandler) and isinstance(node.body[-1], ast.Return)
+               for name in node.type.elts}
+    errors = [ScenarioParseError("not a number", "connections[0].value"),
+              ScenarioValidationError([Violation("connection 'b'", "too small"),
+                                       Violation("resource 'link'", "no capacity")]),
+              UsageError("bad flag"), BandwidthTestError("no common interval"),
+              KernelError("conservation breach"), OptimumError("no solution"),
+              ProtocolError("path 'a' round 3: overflow"), OSError(28, "No space left"),
+              OverflowError("too large")]
+    assert {type(exc).__name__ for exc in errors} == handled
+    for exc in errors:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+
+
+def test_a_run_without_connections_writes_header_only_resource_csvs(
+        tmp_path, monkeypatch, capsys):
+    sc = tmp_path / "idle.json"
+    sc.write_text(json.dumps(_equal_links(())))
+    with monkeypatch.context() as mp:
+        forks = record_forks(mp)
+        forked, unforked = with_and_without_fork(tmp_path, mp, capsys, ["--scenario", str(sc)])
+    assert forks == [] and forked[0] == 0 and forked == unforked
+    assert sorted(forked[3]) == ["audit.json", "optimum.json", "resource_link.csv"]
+    assert forked[3]["resource_link.csv"] == b"round,into,lost,cap\n"
 
 
 def test_a_sweep_child_that_dies_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
@@ -629,7 +707,7 @@ def test_a_cli_process_killed_mid_kernel_leaves_no_export_child_running(tmp_path
     try:
         child = int(proc.stdout.readline())
         deadline = time.monotonic() + 60
-        while not (out / ".path_flow.csv.part").exists():   # the first chunk is staged
+        while not (out / ".part" / "path_flow.csv").exists():   # the first chunk is staged
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.002)
     finally:

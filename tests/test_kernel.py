@@ -592,7 +592,7 @@ def test_a_helper_failure_is_named_by_the_child(tmp_path, monkeypatch):
     parent, append = os.getpid(), kernel._append_rows
 
     def append_rows(files, lo, hi):
-        if os.getpid() != parent and files[0][0].name == ".resource_link.csv.part":
+        if os.getpid() != parent and files[0][0] == tmp_path / ".part" / "resource_link.csv":
             _no_space()
         append(files, lo, hi)
 
@@ -608,12 +608,13 @@ def test_a_child_write_failure_exits_3_with_one_error_line(tmp_path, capsys, mon
     monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
     scenario = Path(__file__).resolve().parent.parent / "scenarios" / "single_link.json"
     out = tmp_path / "out"
-    (out / ".resource_link.csv.part").mkdir(parents=True)   # its staged name
+    out.mkdir()
+    (out / ".part").write_text("")   # a file where the stage goes: no run removes it
     assert main(["--scenario", str(scenario), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: trace export child failed: IsADirectoryError")
-    assert "resource_link.csv" in err and len(err.splitlines()) == 1
-    assert [p.name for p in out.iterdir()] == [".resource_link.csv.part"]
+    assert err.startswith("error: trace export child failed: FileExistsError")
+    assert str(out / ".part") in err and len(err.splitlines()) == 1
+    assert [p.name for p in out.iterdir()] == [".part"]
     assert_no_child_processes()
 
 

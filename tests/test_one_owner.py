@@ -1,11 +1,12 @@
 """One owner per rule: one fork site, which alone pickles what a child
 sends back; pipes only there and for the export child's row counts; one
 module that turns hop delays into transit rounds, and one that splits loss
-events; a kernel that opens no file; no seed, since nothing in the model is
-random; the rate rule's domain checks and messages only in the protocol;
-the LP libraries, pickle and mmap load only inside the calls that use
-them; no module imports scipy, whose HiGHS extension only the optimum
-loads; and none sets an LP's costs through the binding's numpy setter."""
+events; a kernel that opens no file; only the kernel moves or removes
+files; no seed, since nothing in the model is random; the rate rule's
+domain checks and messages only in the protocol; the LP libraries, pickle
+and mmap load only inside the calls that use them; no module imports
+scipy, whose HiGHS extension only the optimum loads; and none sets an
+LP's costs through the binding's numpy setter."""
 
 from __future__ import annotations
 
@@ -75,6 +76,22 @@ def test_the_kernel_run_opens_no_file():
     assert not names & {"open", "Path", "os", "io", "shutil"}
     assert not attrs & {"open", "mkdir", "touch", "unlink", "replace", "rename",
                         "write_text", "write_bytes", "read_text", "read_bytes"}
+
+
+def test_only_the_kernel_moves_or_removes_files():
+    # os.replace, os.remove, Path.unlink or rmdir, or shutil.rmtree
+    movers = set()
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = getattr(func, "attr", None) or getattr(func, "id", None)
+            if (called in ("unlink", "rmdir", "rmtree", "rename", "removedirs")
+                    or called in ("replace", "remove")
+                    and getattr(getattr(func, "value", None), "id", None) == "os"):
+                movers.add(name)
+    assert movers == {"kernel.py"}
 
 
 def test_no_module_reads_a_seed():
