@@ -188,7 +188,9 @@ def _run_in_two(entries: list[_Entry], reports: list[audit.AuditReport]) -> None
     entries up to that one are published, the text is written and the
     exception raised. Then the stage is discarded whole (with all of the
     tail, if the head fails and the child is killed), so the files left are
-    those of a one-process run, an earlier run's files included.
+    those of a one-process run, an earlier run's files included. A child
+    that finds this process dead when its share is done discards the stage
+    itself.
     """
     sizes = [(variant.horizon + 1) * sum(len(columns) for _, columns
                                          in kernel.csv_files(variant, sub))
@@ -198,16 +200,20 @@ def _run_in_two(entries: list[_Entry], reports: list[audit.AuditReport]) -> None
               len(entries) - 1)
     head, tail = entries[:cut], entries[cut:]
     stage = kernel.staged(entries[0][1])
+    parent = os.getpid()
 
     def run_tail() -> tuple[list[audit.AuditReport], str, Exception | None]:
         done: list[audit.AuditReport] = []
+        failure = None
         with redirect_stderr(io.StringIO()) as text:
             try:
                 for variant, sub, _ in tail:
                     done.append(_run_entry(variant, stage / sub.name, False))
             except Exception as exc:
-                return done, text.getvalue(), exc
-        return done, text.getvalue(), None
+                failure = exc
+        if os.getppid() != parent:   # nobody is left to publish the stage
+            kernel.discard(stage)
+        return done, text.getvalue(), failure
 
     try:
         with forked(run_tail, "sweep child") as result:
@@ -234,9 +240,9 @@ def cmd_simulate(entries: list[_Entry]) -> int:
     here. Each fork comes before any LP is solved (see ``optimum``).
     Either way stdout, stderr, the exit code and the files left are those
     of running each entry in turn. First it discards the stage
-    (``kernel.staged``) of every entry's directory, which a CLI process
-    killed after its kernel has sent the last rows, or while its sweep
-    child runs, leaves behind.
+    (``kernel.staged``) of every entry's directory, which a killed run can
+    leave behind: its forked child discards the stage itself only if it
+    finds the CLI process dead once its own work is done.
     """
     for _, sub, _ in entries:
         kernel.discard(kernel.staged(sub))

@@ -327,22 +327,26 @@ def loss_totals(trace: RunTrace) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # Trace export: per-path CSV `round,sent,rcvd,lost,lsr` and per-resource CSV
-# `round,into,lost,cap`, column order fixed, written _CSV_CHUNK_ROWS rows at a
-# time, so export memory does not grow with the horizon. The export is almost
-# all float repr, so a column that holds one value over a chunk (equal bytes,
-# so 0.0 and -0.0 are two values) has it formatted once, into the chunk's row
-# template: the bytes are those of a repr per row. A finished trace is
-# written in the calling process; a CsvStream writes it behind the kernel
-# instead, in one forked child. The kernel's arrays live in one anonymous
-# shared mapping, so the child reads every row the kernel stores after the
-# fork, and row t is final once round t has ended. Only round counts cross
-# the pipe, and its syscalls order the child's reads after the kernel's
-# stores. The child writes the files into the output directory's one hidden
-# stage (``staged``), which ``publish`` moves into place once all are
-# complete and ``discard`` removes whole otherwise.
+# `round,into,lost,cap`, column order fixed, written a chunk of rows at a
+# time (``_chunk_rows``). A chunk holds at most _CSV_CHUNK_VALUES values over
+# all of a run's files (one row, if a row holds more), so the text of one
+# file's chunk is bounded by that budget, not by the horizon, and a wide,
+# short trace is cut into as many chunks as a narrow, long one of as many
+# values, which lets it stream too. The export is almost all float repr, so
+# a column that holds one value over a chunk (equal bytes, so 0.0 and -0.0
+# are two values) has it formatted once, into the chunk's row template: the
+# bytes are those of a repr per row. A finished trace is written in the
+# calling process; a CsvStream writes it behind the kernel instead, in one
+# forked child. The kernel's arrays live in one anonymous shared mapping, so
+# the child reads every row the kernel stores after the fork, and row t is
+# final once round t has ended. Only round counts cross the pipe, and its
+# syscalls order the child's reads after the kernel's stores. The child
+# writes the files into the output directory's one hidden stage
+# (``staged``), which ``publish`` moves into place once all are complete and
+# ``discard`` removes whole otherwise.
 # ---------------------------------------------------------------------------
 
-_CSV_CHUNK_ROWS = 4096
+_CSV_CHUNK_VALUES = 1 << 16
 _PATH_COLUMNS = ("sent", "rcvd", "lost", "lsr")
 _RESOURCE_COLUMNS = ("into", "lost", "cap")
 
@@ -396,6 +400,13 @@ def _csv_files(trace: RunTrace, outdir: Path) -> list[_CsvFile]:
             in zip(csv_files(trace.scenario, outdir), records)]
 
 
+def _chunk_rows(files: list[_CsvFile]) -> int:
+    """Rows per export chunk of ``files``: as many as hold _CSV_CHUNK_VALUES
+    values over all their value columns, and at least one."""
+    width = sum(len(columns) for _, _, columns in files)
+    return max(1, _CSV_CHUNK_VALUES // max(1, width))
+
+
 def _csv_header(columns: tuple[str, ...]) -> str:
     return ",".join(("round",) + columns) + "\n"
 
@@ -434,23 +445,26 @@ class CsvStream:
     the block with ``export_trace``, which finishes it. Entering it discards
     what a killed run left in the output directory's stage (``staged``).
     After round 0 it forks the child through ``_fork.forked``; then, each
-    time _CSV_CHUNK_ROWS more rows are final, and once the run has passed
-    its checks, it sends the child the count of final rows, and the child
-    appends them to every file in the stage. The kernel needs no core for
-    the last rows, so the child writes them with one helper it forks, half
-    the files each. ``export_trace`` reaps the child and only then publishes
-    the stage. If the block raises first, the child is killed and the stage
-    discarded, so a failed run leaves no CSV and leaves an earlier run's
-    files as they were. A child whose parent dies reads EOF, discards the
-    stage and exits. A run of no round forks nothing, and ``export_trace``
-    writes its headers here. Use it only in a process that runs no other
-    thread, since the fork copies just the calling one.
+    time a chunk's rows (``_chunk_rows``) are final, and once the run has
+    passed its checks, it sends the child the count of final rows, and the
+    child appends them to every file in the stage. Since a chunk is sized
+    by values, a wide trace streams even when its horizon is short. The
+    kernel needs no core for the last rows, so the child writes them with
+    one helper it forks, half the files each. ``export_trace`` reaps the
+    child and only then publishes the stage. If the block raises first, the
+    child is killed and the stage discarded, so a failed run leaves no CSV
+    and leaves an earlier run's files as they were. A child whose parent
+    dies reads EOF, or, after its last write, finds itself orphaned; either
+    way it discards the stage and exits. A run of no round forks nothing,
+    and ``export_trace`` writes its headers here. Use it only in a process
+    that runs no other thread, since the fork copies just the calling one.
     """
 
     def __init__(self, outdir: str | Path) -> None:
         self.outdir = Path(outdir)
         self._stage = staged(self.outdir)
         self._files: list[_CsvFile] = []   # in the stage, once forked
+        self._chunk = 1                    # rows per chunk, once forked
         self._rows_to: int | None = None   # the pipe's write end, once forked
         self._child = ExitStack()
 
@@ -467,7 +481,7 @@ class CsvStream:
     def __call__(self, trace: RunTrace, t: int) -> None:
         if self._rows_to is None:
             self._fork(trace)
-        if (t + 1) % _CSV_CHUNK_ROWS == 0 or t == trace.horizon:
+        if (t + 1) % self._chunk == 0 or t == trace.horizon:
             # a child that died early is reported once it is reaped
             with suppress(BrokenPipeError):
                 os.write(self._rows_to, (t + 1).to_bytes(8, "little"))
@@ -475,10 +489,12 @@ class CsvStream:
     def _fork(self, trace: RunTrace) -> None:
         trace.stream = self
         self._files = _csv_files(trace, self._stage)
+        self._chunk = _chunk_rows(self._files)
+        parent = os.getpid()
         read_fd, write_fd = os.pipe()
         try:
             self._child.enter_context(forked(
-                lambda: self._write(trace.horizon + 1, read_fd, write_fd),
+                lambda: self._write(trace.horizon + 1, parent, read_fd, write_fd),
                 "trace export child"))
         except BaseException:
             os.close(write_fd)
@@ -488,9 +504,10 @@ class CsvStream:
         self._rows_to = write_fd
         self._child.callback(os.close, write_fd)   # runs before the reap
 
-    def _write(self, n_rounds: int, read_fd: int, write_fd: int) -> None:
+    def _write(self, n_rounds: int, parent: int, read_fd: int, write_fd: int) -> None:
         """The child: append each chunk of rows to the files in the stage
-        once it is final."""
+        once it is final; if ``parent``, which publishes them, has died by
+        then, discard the stage."""
         os.close(write_fd)
         self._stage.mkdir(parents=True, exist_ok=True)
         done = 0
@@ -508,6 +525,8 @@ class CsvStream:
                                 "trace export helper"):
                         _append_rows(self._files[::2], done, final)
                 done = final
+        if os.getppid() != parent:
+            discard(self._stage)
 
     def finish(self) -> list[Path]:
         """Wait for the child, then publish the stage; returns the final
@@ -538,7 +557,7 @@ def export_trace(trace: RunTrace, outdir: str | Path) -> list[Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     files = _csv_files(trace, outdir)
-    n_rounds = trace.horizon + 1
-    for lo in range(0, max(n_rounds, 1), _CSV_CHUNK_ROWS):
-        _append_rows(files, lo, min(lo + _CSV_CHUNK_ROWS, n_rounds))
+    n_rounds, chunk = trace.horizon + 1, _chunk_rows(files)
+    for lo in range(0, max(n_rounds, 1), chunk):
+        _append_rows(files, lo, min(lo + chunk, n_rounds))
     return [p for p, _, _ in files]

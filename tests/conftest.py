@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mimdsim import kernel
 from mimdsim.cli import main
 from mimdsim.kernel import _PATH_COLUMNS, _RESOURCE_COLUMNS, RunTrace, _csv_header, _csv_rows
 from mimdsim.model import (
@@ -45,6 +46,13 @@ def record_forks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+def chunks_of(monkeypatch, rows: int, scenario: Scenario) -> None:
+    """Set the export's value budget so that its one rule cuts a trace of
+    ``scenario`` into chunks of ``rows`` rows, streamed or not."""
+    width = sum(len(columns) for _, columns in kernel.csv_files(scenario, Path()))
+    monkeypatch.setattr(kernel, "_CSV_CHUNK_VALUES", rows * width)
 
 
 def tree(root: Path) -> dict[str, bytes | None]:

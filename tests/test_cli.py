@@ -10,6 +10,7 @@ import os
 import pickle
 import random
 import runpy
+import signal
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    chunks_of,
     random_scenario,
     record_forks,
     simple_conn,
@@ -597,6 +599,18 @@ def test_a_run_without_connections_writes_header_only_resource_csvs(
     assert forked[3]["resource_link.csv"] == b"round,into,lost,cap\n"
 
 
+def test_a_run_without_connections_or_resources_writes_only_its_json(
+        tmp_path, monkeypatch, capsys):
+    # horizon -1: no round and no CSV column, so the chunk rule sees a width of 0
+    sc = tmp_path / "empty.json"
+    sc.write_text(json.dumps({"resources": [], "connections": [], "epsilon": 0.1}))
+    with monkeypatch.context() as mp:
+        forks = record_forks(mp)
+        forked, unforked = with_and_without_fork(tmp_path, mp, capsys, ["--scenario", str(sc)])
+    assert forks == [] and forked[0] == 0 and forked == unforked
+    assert sorted(forked[3]) == ["audit.json", "optimum.json"]
+
+
 def test_a_sweep_child_that_dies_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
     cli_pid, run = os.getpid(), kernel.run
 
@@ -614,15 +628,16 @@ def test_a_sweep_child_that_dies_exits_3_with_one_error_line(tmp_path, monkeypat
 
 
 def test_a_streamed_run_writes_what_an_unforked_one_does(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
     rng = random.Random(1709)
     scenarios = [SHARED]
     for i in range(4):
         scenarios.append(tmp_path / f"s{i}.json")
         scenarios[-1].write_text(emit_scenario(random_scenario(rng)))
     for i, sc in enumerate(scenarios):
-        assert any(c.total_delay > 0 for c in parse_scenario(sc.read_text()).connections)
+        scenario = parse_scenario(sc.read_text())
+        assert any(c.total_delay > 0 for c in scenario.connections)
         with monkeypatch.context() as mp:
+            chunks_of(mp, 7, scenario)
             forks = record_forks(mp)
             forked, unforked = with_and_without_fork(tmp_path / str(i), mp, capsys,
                                                       ["--scenario", str(sc)])
@@ -632,11 +647,11 @@ def test_a_streamed_run_writes_what_an_unforked_one_does(tmp_path, monkeypatch, 
 
 def test_a_kernel_failure_in_a_streamed_run_leaves_an_earlier_runs_files(
         tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
     doc = json.loads(_underflowing_link(tmp_path).read_text())
     doc["connections"][0]["active"] = [0, 299]   # underflows at round 166
     sc = tmp_path / "underflow300.json"
     sc.write_text(json.dumps(doc))
+    chunks_of(monkeypatch, 7, parse_scenario(sc.read_text()))
     log = tmp_path / "rows.log"
     fd = _appending_log(log)
     append = kernel._append_rows
@@ -671,6 +686,63 @@ def test_a_kernel_failure_in_a_streamed_run_leaves_an_earlier_runs_files(
     assert len(writers) == 1 and str(os.getpid()) not in writers
     assert forked == (3, "", "error: path 'flow' round 166: non-positive send rate 0.0\n",
                       {"path_flow.csv": b"from an earlier run\n"})
+    assert forked == unforked
+
+
+def _wide_short(tmp_path: Path) -> Path:
+    """120 paths over 4 links for 250 rounds: 492 CSV columns, so a chunk
+    of the value budget holds far fewer rows than the trace."""
+    doc = {"resources": [{"id": f"l{j}", "capacity": [{"from_round": 0, "value": 40}]}
+                         for j in range(4)],
+           "connections": [{"id": f"p{i}", "route": [f"l{i % 4}"], "hop_delays": [0],
+                            "total_delay": 0, "active": [i % 7, 249 - i % 5],
+                            "start_rate": 1, "alpha": 0.01, "beta": 0.1, "value": 1.0}
+                           for i in range(120)],
+           "epsilon": 0.1}
+    sc = tmp_path / "wide.json"
+    sc.write_text(json.dumps(doc))
+    return sc
+
+
+def test_a_wide_short_run_streams_rows_before_its_kernels_last_round(
+        tmp_path, monkeypatch, capsys):
+    sc = _wide_short(tmp_path)
+    horizon = parse_scenario(sc.read_text()).horizon
+    chunk = kernel._CSV_CHUNK_VALUES // (4 * 120 + 3 * 4)
+    assert horizon == 249 and 2 * chunk > horizon + 1 > chunk
+    log = tmp_path / "rows.log"
+    fd = _appending_log(log)
+    append, run = kernel._append_rows, kernel.run
+    before_last: list[str] = []
+
+    def append_and_log(files, lo, hi):
+        os.write(fd, f"{os.getpid()} {hi}\n".encode())
+        append(files, lo, hi)
+
+    def run_and_look_before_the_last_round(scenario, on_round=None):
+        def hook(trace, t):
+            on_round(trace, t)
+            if t == horizon - 1:
+                deadline = time.monotonic() + 30
+                while not log.read_text() and time.monotonic() < deadline:
+                    time.sleep(0.001)   # until the child has taken the first chunk
+                before_last.append(log.read_text())
+
+        return run(scenario, on_round=on_round and hook)
+
+    monkeypatch.setattr(kernel, "_append_rows", append_and_log)
+    monkeypatch.setattr(kernel, "run", run_and_look_before_the_last_round)
+    try:
+        forked, unforked = with_and_without_fork(tmp_path, monkeypatch, capsys,
+                                                  ["--scenario", str(sc)])
+    finally:
+        os.close(fd)
+    # only the export child had appended, and only the first chunk's rows
+    assert len(before_last) == 1
+    calls = [line.split() for line in before_last[0].splitlines()]
+    assert calls and {hi for _, hi in calls} == {str(chunk)}
+    assert str(os.getpid()) not in {pid for pid, _ in calls}
+    assert forked[0] == 0 and len(forked[3]) == 120 + 4 + 2
     assert forked == unforked
 
 
@@ -720,6 +792,76 @@ def test_a_cli_process_killed_mid_kernel_leaves_no_export_child_running(tmp_path
         assert time.monotonic() < deadline
         time.sleep(0.01)
     assert list(out.iterdir()) == []   # the child removed what it had staged
+
+
+# The CLI process prints the pid of each process it forks, and only it.
+_ANNOUNCING_FORKS = ("import os, signal, sys, time\n"
+                     "from mimdsim import cli, kernel\n"
+                     "cli_pid, fork = os.getpid(), os.fork\n"
+                     "def announce():\n"
+                     "    pid = fork()\n"
+                     "    if pid and os.getpid() == cli_pid:\n"
+                     "        print(pid, flush=True)\n"
+                     "    return pid\n"
+                     "os.fork = announce\n"
+                     "def wait_to_be_orphaned():\n"
+                     "    while os.getppid() == cli_pid:\n"
+                     "        time.sleep(0.001)\n")
+
+
+def _orphan_a_child(script: str, flags: list[str]) -> int:
+    """Run the CLI with ``flags`` in a process that kills itself once it
+    has forked; returns the pid of its first child."""
+    proc = subprocess.Popen([sys.executable, "-c", _ANNOUNCING_FORKS + script, *flags],
+                            stdout=subprocess.PIPE, text=True, env=_src_env())
+    try:
+        child = int(proc.stdout.readline())
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 60
+    while _running(child):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    return child
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+def test_an_export_child_orphaned_after_the_last_rows_discards_its_stage(tmp_path):
+    # the CLI process dies once it has sent the final row count; the child
+    # writes every row only then, and nobody is left to publish them
+    script = ("append, call = kernel._append_rows, kernel.CsvStream.__call__\n"
+              "def append_once_orphaned(files, lo, hi):\n"
+              "    wait_to_be_orphaned()\n"
+              "    append(files, lo, hi)\n"
+              "def call_then_die(stream, trace, t):\n"
+              "    call(stream, trace, t)\n"
+              "    if t == trace.horizon:\n"
+              "        os.kill(cli_pid, signal.SIGKILL)\n"
+              "kernel._append_rows = append_once_orphaned\n"
+              "kernel.CsvStream.__call__ = call_then_die\n"
+              "cli.main(sys.argv[1:])\n")
+    out = tmp_path / "out"
+    _orphan_a_child(script, ["--scenario", str(SINGLE), "--out", str(out)])
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+def test_a_sweep_child_orphaned_before_it_returns_discards_the_stage(tmp_path):
+    # the CLI process dies as its head starts; the child runs the tail alone
+    script = ("run = kernel.run\n"
+              "def run_once_orphaned(scenario, **kwargs):\n"
+              "    if os.getpid() == cli_pid:\n"
+              "        os.kill(cli_pid, signal.SIGKILL)\n"
+              "    wait_to_be_orphaned()\n"
+              "    return run(scenario, **kwargs)\n"
+              "kernel.run = run_once_orphaned\n"
+              "cli.main(sys.argv[1:])\n")
+    out = tmp_path / "out"
+    _orphan_a_child(script, ["--scenario", str(SHARED), "--out", str(out)] + SWEEP_2X2)
+    assert list(out.iterdir()) == []
 
 
 def test_sweep_rejected_outside_simulate_mode(tmp_path, capsys):

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     assert_no_child_processes,
+    chunks_of,
     constant_resource,
     path_csv,
     random_scenario,
@@ -30,6 +31,7 @@ from mimdsim.model import (
     ProportionalLoss,
     Scenario,
     ScenarioValidationError,
+    parse_scenario,
 )
 from mimdsim.protocol import ProtocolError
 
@@ -354,8 +356,10 @@ def test_deterministic_traces_byte_identical():
 
 
 def test_export_trace_files_equal_the_csv_strings_across_chunks(tmp_path):
-    sc = single_link_scenario(cap=50.0, duration=2 * kernel._CSV_CHUNK_ROWS + 123)
+    chunk = kernel._CSV_CHUNK_VALUES // 7   # one path and one resource: 4 + 3 columns
+    sc = single_link_scenario(cap=50.0, duration=2 * chunk + 123)
     trace = run(sc)
+    assert kernel._chunk_rows(kernel._csv_files(trace, tmp_path)) == chunk
     written = kernel.export_trace(trace, tmp_path)
     assert [p.name for p in written] == ["path_p0.csv", "resource_link.csv"]
     assert written[0].read_bytes() == path_csv(trace, "p0").encode()
@@ -374,9 +378,10 @@ def _per_row_csv(columns: tuple[str, ...], arrays: list, n_rows: int) -> str:
 def test_one_value_chunks_are_written_as_a_per_row_repr_writes_them(tmp_path, monkeypatch,
                                                                      n_rows):
     # chunks of 7 rows; 29 rows end in a chunk of one
-    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
-    trace = run(Scenario((constant_resource("r", math.inf),),
-                         (simple_conn("p", ("r",), end=n_rows - 1),), 0.1))
+    sc = Scenario((constant_resource("r", math.inf),),
+                  (simple_conn("p", ("r",), end=n_rows - 1),), 0.1)
+    chunks_of(monkeypatch, 7, sc)
+    trace = run(sc)
     assert trace.horizon + 1 == n_rows
     rng = random.Random(n_rows)
     rec, led = trace.paths["p"], trace.resources["r"]
@@ -497,7 +502,6 @@ def _streamed_run(scenario, outdir: Path, on_round=None):
 
 
 def test_streamed_csvs_equal_the_export_of_the_finished_trace(tmp_path, monkeypatch):
-    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
     forks = record_forks(monkeypatch)
     rng = random.Random(808)
     # 21 rows end on a chunk boundary; one file takes no helper
@@ -507,6 +511,7 @@ def test_streamed_csvs_equal_the_export_of_the_finished_trace(tmp_path, monkeypa
                            connections=(simple_conn("p", (), start_rate=3.0, end=30),))]
     assert all(any(c.total_delay > 0 for c in sc.connections) for sc in scenarios[:9])
     for i, sc in enumerate(scenarios):
+        chunks_of(monkeypatch, 7, sc)   # in both exports
         out = tmp_path / f"streamed{i}"
         trace, written = _streamed_run(sc, out)
         assert trace.horizon + 1 > 2 * 7
@@ -517,6 +522,34 @@ def test_streamed_csvs_equal_the_export_of_the_finished_trace(tmp_path, monkeypa
         kernel.export_trace(run(sc), finished)
         assert {p.name: p.read_bytes() for p in finished.iterdir()} == want
     assert len(forks) == len(scenarios)
+
+
+def test_a_trace_wider_than_the_budget_goes_out_a_row_at_a_time(tmp_path, monkeypatch):
+    sc = single_link_scenario(duration=20, delay=2)
+    monkeypatch.setattr(kernel, "_CSV_CHUNK_VALUES", 6)   # a row holds 4 + 3 values
+    log = tmp_path / "rows.log"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    append = kernel._append_rows
+
+    def append_and_log(files, lo, hi):
+        os.write(fd, f"{os.getpid()} {lo} {hi}\n".encode())
+        append(files, lo, hi)
+
+    monkeypatch.setattr(kernel, "_append_rows", append_and_log)
+    try:
+        trace, _ = _streamed_run(sc, tmp_path / "streamed")
+        kernel.export_trace(run(sc), tmp_path / "finished")
+    finally:
+        os.close(fd)
+    n_rounds = trace.horizon + 1
+    calls = [line.split() for line in log.read_text().splitlines()]
+    # the child's calls, the helper's one for the last row's second file,
+    # and the in-process export's
+    assert len(calls) == 2 * n_rounds + 1 and len({pid for pid, _, _ in calls}) == 3
+    assert {(int(lo), int(hi)) for _, lo, hi in calls} == {(t, t + 1) for t in range(n_rounds)}
+    want = _expected_csvs(trace)
+    for name in ("streamed", "finished"):
+        assert {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()} == want
 
 
 def test_a_one_file_trace_forks_nothing(tmp_path, monkeypatch):
@@ -560,7 +593,8 @@ def _no_space():
 def test_a_child_write_failure_raises_and_names_it(tmp_path, monkeypatch):
     # the child fails on its first chunk; the rounds published after it has
     # exited meet a closed pipe, and that is not the error reported
-    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
+    sc = single_link_scenario(duration=50)
+    chunks_of(monkeypatch, 7, sc)
     forks = record_forks(monkeypatch)
     _in_children_only(monkeypatch, _no_space)
     rounds_run = []
@@ -572,17 +606,18 @@ def test_a_child_write_failure_raises_and_names_it(tmp_path, monkeypatch):
         rounds_run.append(t)
 
     with pytest.raises(OSError, match=r"^trace export child failed: OSError: \[Errno 28\] No space"):
-        _streamed_run(single_link_scenario(duration=50), tmp_path, wait_for_the_childs_exit)
+        _streamed_run(sc, tmp_path, wait_for_the_childs_exit)
     assert max(rounds_run) == 49
     assert list(tmp_path.iterdir()) == []
     assert_no_child_processes()
 
 
 def test_a_child_that_exits_without_a_message_is_reported_by_exit_code(tmp_path, monkeypatch):
-    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
+    sc = single_link_scenario(duration=50)
+    chunks_of(monkeypatch, 7, sc)
     _in_children_only(monkeypatch, lambda: os._exit(4))
     with pytest.raises(OSError, match=r"^trace export child failed: exit code 4$"):
-        _streamed_run(single_link_scenario(duration=50), tmp_path)
+        _streamed_run(sc, tmp_path)
     assert list(tmp_path.iterdir()) == []
     assert_no_child_processes()
 
@@ -605,8 +640,8 @@ def test_a_helper_failure_is_named_by_the_child(tmp_path, monkeypatch):
 
 
 def test_a_child_write_failure_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
     scenario = Path(__file__).resolve().parent.parent / "scenarios" / "single_link.json"
+    chunks_of(monkeypatch, 7, parse_scenario(scenario.read_text()))
     out = tmp_path / "out"
     out.mkdir()
     (out / ".part").write_text("")   # a file where the stage goes: no run removes it
@@ -621,12 +656,12 @@ def test_a_child_write_failure_exits_3_with_one_error_line(tmp_path, capsys, mon
 def test_a_parent_share_failure_kills_and_reaps_the_child(tmp_path, monkeypatch):
     # the kernel, this process's share, fails at round 166 while the child
     # stalls on its first chunk
-    monkeypatch.setattr(kernel, "_CSV_CHUNK_ROWS", 7)
+    sc = single_link_scenario(cap=0.0, duration=300, alpha=0.001, beta=0.99)
+    chunks_of(monkeypatch, 7, sc)
     _in_children_only(monkeypatch, lambda: time.sleep(30))   # only a kill ends it early
     started = time.monotonic()
     with pytest.raises(ProtocolError, match="round 166") as info:
-        _streamed_run(single_link_scenario(cap=0.0, duration=300, alpha=0.001, beta=0.99),
-                      tmp_path)
+        _streamed_run(sc, tmp_path)
     assert "child" not in str(info.value)
     assert time.monotonic() - started < 15
     assert list(tmp_path.iterdir()) == []

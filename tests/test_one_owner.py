@@ -2,11 +2,12 @@
 sends back; pipes only there and for the export child's row counts; one
 module that turns hop delays into transit rounds, and one that splits loss
 events; a kernel that opens no file; only the kernel moves or removes
-files; no seed, since nothing in the model is random; the rate rule's
-domain checks and messages only in the protocol; the LP libraries, pickle
-and mmap load only inside the calls that use them; no module imports
-scipy, whose HiGHS extension only the optimum loads; and none sets an
-LP's costs through the binding's numpy setter."""
+files; one rule that sizes both exports' chunks by values; no seed, since
+nothing in the model is random; the rate rule's domain checks and messages
+only in the protocol; the LP libraries, pickle and mmap load only inside
+the calls that use them; no module imports scipy, whose HiGHS extension
+only the optimum loads; and none sets an LP's costs through the binding's
+numpy setter."""
 
 from __future__ import annotations
 
@@ -92,6 +93,26 @@ def test_only_the_kernel_moves_or_removes_files():
                     and getattr(getattr(func, "value", None), "id", None) == "os"):
                 movers.add(name)
     assert movers == {"kernel.py"}
+
+
+def test_both_exports_size_their_chunks_by_the_one_value_rule():
+    # the streamed and the in-process export each call _chunk_rows, the one
+    # reader of the value budget, and no row count is kept beside it
+    modules = _modules()
+    constants = {target.id for tree in modules.values() for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name)
+                 and ("CHUNK" in target.id or "ROWS" in target.id)}
+    assert constants == {"_CSV_CHUNK_VALUES"}
+    defs = {node.name: node for node in modules["kernel.py"].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    readers = {name for name, node in defs.items() for sub in ast.walk(node)
+               if isinstance(sub, ast.Name) and sub.id == "_CSV_CHUNK_VALUES"}
+    assert readers == {"_chunk_rows"}
+    callers = {name for name, node in defs.items() for sub in ast.walk(node)
+               if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_chunk_rows"}
+    assert callers == {"CsvStream", "export_trace"}
 
 
 def test_no_module_reads_a_seed():
