@@ -1,7 +1,7 @@
-"""The one fork discipline, shared by every forked process: the trace
+"""The one fork discipline, shared by the two forked processes: the trace
 export child that writes a run's CSVs behind its kernel
-(``kernel.CsvStream``) and the helper it forks for the last rows, and the
-child that runs the tail of a sweep's entries (``cli._run_in_two``).
+(``kernel.CsvStream``), and the child that runs the tail of a sweep's
+entries (``cli._run_in_two``). Neither forks again.
 A child's return value or failure comes back over one pipe; a child that
 needs more input than a function to call, such as the row counts the
 export child waits for, opens a pipe of its own."""

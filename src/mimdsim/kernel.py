@@ -31,7 +31,6 @@ from array import array
 from collections.abc import Callable, Iterator
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 from . import protocol
@@ -160,12 +159,12 @@ def run(scenario: Scenario,
     """Execute the scenario through its horizon and return the full trace.
 
     Deterministic given the scenario. ``on_round(trace, t)``, if given, is
-    called after each round ``t`` with the trace being filled, whose rows
-    ``0..t`` are then final: round ``t`` writes no row before ``t``, since
-    a cohort is cut only while it is in flight, in the row it arrives in.
-    The call for the last round comes after the end-of-run checks, so once
-    it is made the run has succeeded. A run of no round (no connection)
-    makes no call.
+    called once after each round ``t`` with the trace being filled, and
+    rows ``0..t`` are final when it is called: round ``t`` writes no row
+    before ``t``, since a cohort is cut only while it is in flight, in the
+    row it arrives in. The end-of-run checks come after the last call, so
+    a hook must not take that call for a run's success. A run of no round
+    (no connection) makes no call.
     """
     require_valid(scenario)
     conns = scenario.connections
@@ -294,7 +293,7 @@ def run(scenario: Scenario,
             if got < 0.0 or not 0.0 <= fraction <= 1.0:
                 fraction = _at(c.id, t, protocol.loss_fraction, out, got)
             lsr[t] = fraction
-        if on_round is not None and t < horizon:
+        if on_round is not None:
             on_round(trace, t)
 
     # every packet dropped at a resource must surface as an end-to-end loss,
@@ -309,8 +308,6 @@ def run(scenario: Scenario,
         raise KernelError(
             f"conservation breach: paths lost {path_lost}, resources lost {res_lost}"
         )
-    if on_round is not None and n_rounds:
-        on_round(trace, horizon)
     return trace
 
 
@@ -444,20 +441,20 @@ class CsvStream:
     Enter it, pass it to ``run`` as ``on_round`` inside the block, and end
     the block with ``export_trace``, which finishes it. Entering it discards
     what a killed run left in the output directory's stage (``staged``).
-    After round 0 it forks the child through ``_fork.forked``; then, each
-    time a chunk's rows (``_chunk_rows``) are final, and once the run has
-    passed its checks, it sends the child the count of final rows, and the
-    child appends them to every file in the stage. Since a chunk is sized
-    by values, a wide trace streams even when its horizon is short. The
-    kernel needs no core for the last rows, so the child writes them with
-    one helper it forks, half the files each. ``export_trace`` reaps the
-    child and only then publishes the stage. If the block raises first, the
-    child is killed and the stage discarded, so a failed run leaves no CSV
-    and leaves an earlier run's files as they were. A child whose parent
-    dies reads EOF, or, after its last write, finds itself orphaned; either
-    way it discards the stage and exits. A run of no round forks nothing,
-    and ``export_trace`` writes its headers here. Use it only in a process
-    that runs no other thread, since the fork copies just the calling one.
+    After round 0 it forks the child through ``_fork.forked``; rows
+    ``0..t`` are final when ``run`` calls it for round ``t``, so each time a
+    chunk's rows (``_chunk_rows``) are final, and at the last round, it
+    sends the child the count of final rows, and the child appends them to
+    every file in the stage. Since a chunk is sized by values, a wide trace
+    streams even when its horizon is short. ``export_trace`` reaps the
+    child and only then publishes the stage. If the block raises first (a
+    failed end-of-run check included), the child is killed and the stage
+    discarded, so a failed run leaves no CSV and leaves an earlier run's
+    files as they were. A child whose parent dies reads EOF, or, after its
+    last write, finds itself orphaned; either way it discards the stage and
+    exits. A run of no round forks nothing, and ``export_trace`` writes its
+    headers here. Use it only in a process that runs no other thread, since
+    the fork copies just the calling one.
     """
 
     def __init__(self, outdir: str | Path) -> None:
@@ -518,12 +515,7 @@ class CsvStream:
                     discard(self._stage)
                     raise EOFError(f"rows {done} to {n_rounds - 1} were never published")
                 final = int.from_bytes(count, "little")
-                if final < n_rounds or len(self._files) < 2:
-                    _append_rows(self._files, done, final)
-                else:   # the run has ended: a helper takes half the files
-                    with forked(partial(_append_rows, self._files[1::2], done, final),
-                                "trace export helper"):
-                        _append_rows(self._files[::2], done, final)
+                _append_rows(self._files, done, final)
                 done = final
         if os.getppid() != parent:
             discard(self._stage)

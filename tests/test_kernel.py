@@ -504,7 +504,7 @@ def _streamed_run(scenario, outdir: Path, on_round=None):
 def test_streamed_csvs_equal_the_export_of_the_finished_trace(tmp_path, monkeypatch):
     forks = record_forks(monkeypatch)
     rng = random.Random(808)
-    # 21 rows end on a chunk boundary; one file takes no helper
+    # 21 rows end on a chunk boundary; the last trace has one file
     scenarios = [random_scenario(rng) for _ in range(8)]
     scenarios += [single_link_scenario(duration=21, delay=2),
                   Scenario(resources=(), epsilon=0.1,
@@ -543,9 +543,8 @@ def test_a_trace_wider_than_the_budget_goes_out_a_row_at_a_time(tmp_path, monkey
         os.close(fd)
     n_rounds = trace.horizon + 1
     calls = [line.split() for line in log.read_text().splitlines()]
-    # the child's calls, the helper's one for the last row's second file,
-    # and the in-process export's
-    assert len(calls) == 2 * n_rounds + 1 and len({pid for pid, _, _ in calls}) == 3
+    # the child's calls and the in-process export's, one a row each
+    assert len(calls) == 2 * n_rounds and len({pid for pid, _, _ in calls}) == 2
     assert {(int(lo), int(hi)) for _, lo, hi in calls} == {(t, t + 1) for t in range(n_rounds)}
     want = _expected_csvs(trace)
     for name in ("streamed", "finished"):
@@ -600,8 +599,11 @@ def test_a_child_write_failure_raises_and_names_it(tmp_path, monkeypatch):
     rounds_run = []
 
     def wait_for_the_childs_exit(stream, trace, t):
-        if t == 7:
-            os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+        deadline = time.monotonic() + 30
+        while t == 7 and not os.waitid(os.P_PID, forks[0],
+                                       os.WEXITED | os.WNOHANG | os.WNOWAIT):
+            assert time.monotonic() < deadline, "the export child has not exited"
+            time.sleep(0.001)
         stream(trace, t)
         rounds_run.append(t)
 
@@ -618,23 +620,6 @@ def test_a_child_that_exits_without_a_message_is_reported_by_exit_code(tmp_path,
     _in_children_only(monkeypatch, lambda: os._exit(4))
     with pytest.raises(OSError, match=r"^trace export child failed: exit code 4$"):
         _streamed_run(sc, tmp_path)
-    assert list(tmp_path.iterdir()) == []
-    assert_no_child_processes()
-
-
-def test_a_helper_failure_is_named_by_the_child(tmp_path, monkeypatch):
-    # the last rows are split between the child and its helper
-    parent, append = os.getpid(), kernel._append_rows
-
-    def append_rows(files, lo, hi):
-        if os.getpid() != parent and files[0][0] == tmp_path / ".part" / "resource_link.csv":
-            _no_space()
-        append(files, lo, hi)
-
-    monkeypatch.setattr(kernel, "_append_rows", append_rows)
-    with pytest.raises(OSError, match=r"^trace export child failed: OSError: trace export "
-                                      r"helper failed: OSError: \[Errno 28\] No space"):
-        _streamed_run(single_link_scenario(duration=50), tmp_path)
     assert list(tmp_path.iterdir()) == []
     assert_no_child_processes()
 
@@ -665,6 +650,42 @@ def test_a_parent_share_failure_kills_and_reaps_the_child(tmp_path, monkeypatch)
     assert "child" not in str(info.value)
     assert time.monotonic() - started < 15
     assert list(tmp_path.iterdir()) == []
+    assert_no_child_processes()
+
+
+def test_a_failed_end_of_run_check_publishes_none_of_the_rows_the_child_wrote(
+        tmp_path, monkeypatch):
+    # the hook has had the last round, so the child writes every row into
+    # the stage; the check fails after that, and the stage goes whole
+    sc = single_link_scenario(duration=50)
+    chunks_of(monkeypatch, 7, sc)
+    log = tmp_path / "rows.log"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    append = kernel._append_rows
+
+    def append_and_log(files, lo, hi):
+        append(files, lo, hi)
+        os.write(fd, f"{hi}\n".encode())
+
+    def breach_once_every_row_is_staged(trace):
+        deadline = time.monotonic() + 30
+        while "50" not in log.read_text().split():
+            assert time.monotonic() < deadline, "the export child has not written row 49"
+            time.sleep(0.001)
+        return 1.0, 0.0
+
+    monkeypatch.setattr(kernel, "_append_rows", append_and_log)
+    monkeypatch.setattr(kernel, "loss_totals", breach_once_every_row_is_staged)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "path_p0.csv").write_text("from an earlier run\n")
+    try:
+        with pytest.raises(KernelError, match="conservation breach"):
+            _streamed_run(sc, out)
+    finally:
+        os.close(fd)
+    assert {p.name: p.read_text() for p in out.iterdir()} == {
+        "path_p0.csv": "from an earlier run\n"}
     assert_no_child_processes()
 
 

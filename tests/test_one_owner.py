@@ -1,5 +1,6 @@
 """One owner per rule: one fork site, which alone pickles what a child
-sends back; pipes only there and for the export child's row counts; one
+sends back, entered only by the export stream and the sweep, so no forked
+process forks; pipes only there and for the export child's row counts; one
 module that turns hop delays into transit rounds, and one that splits loss
 events; a kernel that opens no file; only the kernel moves or removes
 files; one rule that sizes both exports' chunks by values; no seed, since
@@ -30,6 +31,32 @@ def test_os_fork_is_called_only_in_the_fork_helper():
         if calls:
             sites[name] = len(calls)
     assert sites == {"_fork.py": 1}
+
+
+def _callers(name: str) -> set[str]:
+    """``<module>:<qualified def>`` of every function or method that calls
+    ``name``, by name or as an attribute."""
+    found = set()
+
+    def visit(node: ast.AST, module: str, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                          getattr(child.func, "attr", None)):
+                found.add(f"{module}:{'.'.join(scope)}")
+            visit(child, module, inner)
+
+    for module, tree in _modules().items():
+        visit(tree, module, ())
+    return found
+
+
+def test_only_the_export_stream_and_the_sweep_fork():
+    # the export child only writes rows, and the sweep child runs entries
+    # unstreamed, so neither forks again
+    assert _callers("forked") == {"kernel.py:CsvStream._fork", "cli.py:_run_in_two"}
 
 
 def test_only_the_fork_helper_imports_pickle():

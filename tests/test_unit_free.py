@@ -8,13 +8,16 @@ nor forgive a breach at any scale. So does the exact LP route (at most
 draw). The HiGHS route keeps it up to HiGHS's absolute tolerances, and on
 both routes the feasibility check must not depend on the unit: a valid
 large-scale scenario is never rejected for a float artefact, and a
-small-scale answer above the optimum is never accepted.
+small-scale answer above the optimum is never accepted. The bandwidth
+test's convergence rule is relative, so it stops at the same round at any
+scale and its estimate scales exactly.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,12 +25,14 @@ from hypothesis import strategies as st
 
 from conftest import lp_instance, random_scenario
 from mimdsim import kernel, optimum
+from mimdsim.audit import bandwidth_test
 from mimdsim.kernel import KernelError, loss_totals, run
 from mimdsim.model import (
     AdversarialFairLoss,
     CapacityTimeline,
     ProportionalLoss,
     Scenario,
+    parse_scenario,
 )
 from mimdsim.optimum import OptimumError, UnboundedOptimumError, solve_opt
 
@@ -158,3 +163,17 @@ def test_loads_a_few_ulps_over_pass_and_1e_11_over_fail_at_any_scale(k, monkeypa
         with pytest.raises(OptimumError, match="infeasible LP answer"):
             solve_opt(sc)
         monkeypatch.undo()
+
+
+def test_the_bandwidth_test_converges_at_the_same_round_at_any_scale():
+    # an absolute floor on the convergence test once stopped the scan of
+    # 2**-60 and 2**-80 at round 399, with half the estimate
+    base = parse_scenario((Path(__file__).resolve().parent.parent / "scenarios"
+                           / "bwtest_pair.json").read_text())
+    want = bandwidth_test(base)
+    assert want["converged_at_round"] == 971 and want["estimate"] == 100.0
+    for k in (20, -20, -40, -60, -80):
+        got = bandwidth_test(scaled(base, 2.0**k))
+        assert got["converged_at_round"] == want["converged_at_round"], k
+        assert got["window"] == want["window"], k
+        assert got["estimate"] == want["estimate"] * 2.0**k, k
