@@ -4,7 +4,15 @@ export child that writes a run's CSVs behind its kernel
 entries (``cli._run_in_two``). Neither forks again.
 A child's return value or failure comes back over one pipe; a child that
 needs more input than a function to call, such as the row counts the
-export child waits for, opens a pipe of its own."""
+export child waits for, opens a pipe of its own.
+
+A child writes its files into the output directory's one hidden stage
+(``staged``), never into place. Its parent publishes what it keeps
+(``publish``) after the reap, and the stage is then discarded whole
+(``discard``) on every path, so a failed run leaves an earlier run's files
+as they were. A child that finds its parent dead when its work is done
+discards the stage itself, since nobody is left to publish it.
+"""
 
 from __future__ import annotations
 
@@ -12,10 +20,48 @@ import os
 import signal
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager, suppress
+from pathlib import Path
+
+
+def staged(outdir: Path) -> Path:
+    """The hidden stage of ``outdir``: what a forked process writes for it
+    goes there until it is complete, then ``publish`` moves it into place."""
+    return outdir / ".part"
+
+
+def publish(stage: Path, outdir: Path) -> None:
+    """Move everything in ``stage`` into ``outdir``, creating it as
+    ``kernel.export_trace`` would, then remove the stage; a stage that was
+    never made publishes nothing."""
+    if stage.is_dir():
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name in os.listdir(stage):
+            os.replace(stage / name, outdir / name)
+        stage.rmdir()
+
+
+def discard(stage: Path) -> None:
+    """Remove ``stage`` whole, as far as it can be: this runs on failure
+    paths and before a run, whose own error is the one to report. A link,
+    at the stage or in it, is removed, not followed."""
+    with suppress(OSError):
+        if stage.is_symlink():
+            stage.unlink()
+            return
+        with os.scandir(stage) as entries:
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    discard(Path(entry.path))
+                else:
+                    with suppress(OSError):
+                        os.unlink(entry.path)
+    with suppress(OSError):
+        stage.rmdir()
 
 
 @contextmanager
-def forked(child: Callable[[], object], what: str) -> Iterator[Callable[[], object]]:
+def forked(child: Callable[[], object], what: str,
+           stage: Path) -> Iterator[Callable[[], object]]:
     """Run ``child()`` in a forked process while the block runs in this one.
 
     The block gets ``result``: ``result()`` reaps the child and returns
@@ -27,9 +73,15 @@ def forked(child: Callable[[], object], what: str) -> Iterator[Callable[[], obje
     or, without one, its exit code, from ``result()`` and again at the end
     of a clean block. Use it only in a process that runs no other thread,
     since the fork copies just the calling one.
+
+    ``stage`` is where the child writes (``staged``). After the reap, on
+    every path, the block's end discards it, so the block publishes what
+    it keeps after ``result()``. Once ``child()`` has returned or raised,
+    a child whose parent is no longer this process discards it too.
     """
     import pickle
 
+    parent = os.getpid()
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -40,6 +92,8 @@ def forked(child: Callable[[], object], what: str) -> Iterator[Callable[[], obje
                 reply, code = pickle.dumps(child()), 0
             except Exception as exc:
                 reply = f"{type(exc).__name__}: {exc}".encode(errors="replace")
+            if os.getppid() != parent:   # nobody is left to publish the stage
+                discard(stage)
             with open(write_fd, "wb") as pipe:
                 pipe.write(reply)
         finally:
@@ -67,4 +121,7 @@ def forked(child: Callable[[], object], what: str) -> Iterator[Callable[[], obje
         with suppress(OSError):
             reap()
         raise
-    reap()
+    else:
+        reap()
+    finally:
+        discard(stage)

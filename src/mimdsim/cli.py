@@ -19,7 +19,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from . import audit, kernel, optimum
-from ._fork import forked
+from ._fork import discard, forked, publish, staged
 from .audit import BandwidthTestError, theorem_parameters
 from .kernel import KernelError
 from .model import (
@@ -182,15 +182,11 @@ def _run_in_two(entries: list[_Entry], reports: list[audit.AuditReport]) -> None
     CSV columns) first reaches half, leaving the child at least one; this
     process runs the head, the child the tail, each entry whole. The child
     writes each entry's files into its own directory within the base
-    directory's ``kernel.staged`` stage (``<base>/.part/<entry>/``) and
-    returns its reports, its stderr text and the exception of its first
-    failing entry, where it stops. Once the head has succeeded, the tail's
-    entries up to that one are published, the text is written and the
-    exception raised. Then the stage is discarded whole (with all of the
-    tail, if the head fails and the child is killed), so the files left are
-    those of a one-process run, an earlier run's files included. A child
-    that finds this process dead when its share is done discards the stage
-    itself.
+    directory's stage (``<base>/.part/<entry>/``) and returns its reports,
+    its stderr text and the exception of its first failing entry, where it
+    stops. Once the head has succeeded, the tail's entries up to that one
+    are published, the text is written and the exception raised, so the
+    files left are those of a one-process run.
     """
     sizes = [(variant.horizon + 1) * sum(len(columns) for _, columns
                                          in kernel.csv_files(variant, sub))
@@ -199,8 +195,7 @@ def _run_in_two(entries: list[_Entry], reports: list[audit.AuditReport]) -> None
     cut = min(next(i for i, so_far in enumerate(accumulate(sizes), 1) if 2 * so_far >= total),
               len(entries) - 1)
     head, tail = entries[:cut], entries[cut:]
-    stage = kernel.staged(entries[0][1])
-    parent = os.getpid()
+    stage = staged(entries[0][1])
 
     def run_tail() -> tuple[list[audit.AuditReport], str, Exception | None]:
         done: list[audit.AuditReport] = []
@@ -211,19 +206,14 @@ def _run_in_two(entries: list[_Entry], reports: list[audit.AuditReport]) -> None
                     done.append(_run_entry(variant, stage / sub.name, False))
             except Exception as exc:
                 failure = exc
-        if os.getppid() != parent:   # nobody is left to publish the stage
-            kernel.discard(stage)
         return done, text.getvalue(), failure
 
-    try:
-        with forked(run_tail, "sweep child") as result:
-            _run_in_order(head, reports, False)
-            done, text, failure = result()
+    with forked(run_tail, "sweep child", stage) as result:
+        _run_in_order(head, reports, False)
+        done, text, failure = result()
         # the tail's entries up to its failing one are those a one-process run reaches
         for _, sub, _ in tail[:len(done) + (failure is not None)]:
-            kernel.publish(stage / sub.name, sub)
-    finally:
-        kernel.discard(stage)
+            publish(stage / sub.name, sub)
     reports += done
     sys.stderr.write(text)
     if failure is not None:
@@ -239,13 +229,11 @@ def cmd_simulate(entries: list[_Entry]) -> int:
     CSVs from a child (``kernel.CsvStream``); otherwise every entry runs
     here. Each fork comes before any LP is solved (see ``optimum``).
     Either way stdout, stderr, the exit code and the files left are those
-    of running each entry in turn. First it discards the stage
-    (``kernel.staged``) of every entry's directory, which a killed run can
-    leave behind: its forked child discards the stage itself only if it
-    finds the CLI process dead once its own work is done.
+    of running each entry in turn. First it discards the stage of every
+    entry's directory, which a killed run can leave behind (see ``_fork``).
     """
     for _, sub, _ in entries:
-        kernel.discard(kernel.staged(sub))
+        discard(staged(sub))
     reports: list[audit.AuditReport] = []
     forking = hasattr(os, "fork")
     if len(entries) > 1 and forking:

@@ -32,16 +32,16 @@ from collections.abc import Callable, Iterator
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 from . import protocol
-from ._fork import forked
+from ._fork import discard, forked, publish, staged
 from .model import (
     AdversarialFairLoss,
     Scenario,
     crossings,
-    intra_round_edges,
     require_valid,
-    topo_order,
+    transit_order,
 )
 
 CONSERVATION_RTOL = 1e-9
@@ -190,9 +190,8 @@ def run(scenario: Scenario,
     members: list[list[tuple[int, memoryview, int, int, int]]] = [[] for _ in ledgers]
     for k, i, pre, first, last in crossings(scenario):
         members[i].append((k, inflight[k], pre, first, last))
-    order = topo_order([r.id for r in scenario.resources], intra_round_edges(scenario))
     schedule = [(ledgers[i].resource_id, ledgers[i].into, ledgers[i].lost, ledgers[i].cap,
-                 members[i]) for i in order if members[i]]
+                 members[i]) for i in transit_order(scenario) if members[i]]
     # Per path, built once: the send window, the last warm-up round, the
     # feedback lag and the rule's constants (1 + alpha, evaluated as the
     # rule does); and the arrival window, shifted by the total delay.
@@ -338,9 +337,7 @@ def loss_totals(trace: RunTrace) -> tuple[float, float]:
 # the child reads every row the kernel stores after the fork, and row t is
 # final once round t has ended. Only round counts cross the pipe, and its
 # syscalls order the child's reads after the kernel's stores. The child
-# writes the files into the output directory's one hidden stage
-# (``staged``), which ``publish`` moves into place once all are complete and
-# ``discard`` removes whole otherwise.
+# writes the files into the output directory's stage (``_fork.staged``).
 # ---------------------------------------------------------------------------
 
 _CSV_CHUNK_VALUES = 1 << 16
@@ -357,37 +354,6 @@ def csv_files(scenario: Scenario, outdir: Path) -> list[tuple[Path, tuple[str, .
     return ([(outdir / f"path_{c.id}.csv", _PATH_COLUMNS) for c in scenario.connections]
             + [(outdir / f"resource_{r.id}.csv", _RESOURCE_COLUMNS)
                for r in scenario.resources])
-
-
-def staged(outdir: Path) -> Path:
-    """The hidden stage of ``outdir``: what a forked process writes for it
-    goes there until it is complete, then ``publish`` moves it into place."""
-    return outdir / ".part"
-
-
-def publish(stage: Path, outdir: Path) -> None:
-    """Move everything in ``stage`` into ``outdir``, creating it as
-    ``export_trace`` would, then remove the stage; a stage that was never
-    made publishes nothing."""
-    if stage.is_dir():
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name in os.listdir(stage):
-            os.replace(stage / name, outdir / name)
-        stage.rmdir()
-
-
-def discard(stage: Path) -> None:
-    """Remove ``stage`` whole, as far as it can be: this runs on failure
-    paths and before a run, whose own error is the one to report."""
-    with suppress(OSError), os.scandir(stage) as entries:
-        for entry in entries:
-            if entry.is_dir(follow_symlinks=False):   # a link is removed, not followed
-                discard(Path(entry.path))
-            else:
-                with suppress(OSError):
-                    os.unlink(entry.path)
-    with suppress(OSError):
-        stage.rmdir()
 
 
 def _csv_files(trace: RunTrace, outdir: Path) -> list[_CsvFile]:
@@ -440,29 +406,27 @@ class CsvStream:
 
     Enter it, pass it to ``run`` as ``on_round`` inside the block, and end
     the block with ``export_trace``, which finishes it. Entering it discards
-    what a killed run left in the output directory's stage (``staged``).
-    After round 0 it forks the child through ``_fork.forked``; rows
-    ``0..t`` are final when ``run`` calls it for round ``t``, so each time a
-    chunk's rows (``_chunk_rows``) are final, and at the last round, it
-    sends the child the count of final rows, and the child appends them to
-    every file in the stage. Since a chunk is sized by values, a wide trace
-    streams even when its horizon is short. ``export_trace`` reaps the
-    child and only then publishes the stage. If the block raises first (a
-    failed end-of-run check included), the child is killed and the stage
-    discarded, so a failed run leaves no CSV and leaves an earlier run's
-    files as they were. A child whose parent dies reads EOF, or, after its
-    last write, finds itself orphaned; either way it discards the stage and
-    exits. A run of no round forks nothing, and ``export_trace`` writes its
-    headers here. Use it only in a process that runs no other thread, since
-    the fork copies just the calling one.
+    what a killed run left in the output directory's stage. After round 0
+    it forks the child through ``_fork.forked``, which owns the stage;
+    rows ``0..t`` are final when ``run`` calls it for round ``t``, so each
+    time a chunk's rows (``_chunk_rows``) are final, and at the last round,
+    it sends the child the count of final rows, and the child appends them
+    to every file in the stage. Since a chunk is sized by values, a wide
+    trace streams even when its horizon is short. ``export_trace`` reaps
+    the child and only then publishes the stage; if the block raises first
+    (a failed end-of-run check included), the child is killed and no CSV
+    is published. A child that reads EOF before its last rows discards the
+    stage. A run of no round forks nothing, and ``export_trace`` writes its
+    headers here.
     """
 
     def __init__(self, outdir: str | Path) -> None:
         self.outdir = Path(outdir)
         self._stage = staged(self.outdir)
-        self._files: list[_CsvFile] = []   # in the stage, once forked
-        self._chunk = 1                    # rows per chunk, once forked
-        self._rows_to: int | None = None   # the pipe's write end, once forked
+        self._files: list[_CsvFile] = []       # in the stage, once forked
+        self._chunk = 1                        # rows per chunk, once forked
+        self._rows_to: BinaryIO | None = None  # the pipe's write end, once forked
+        self._result: Callable[[], object] | None = None   # reaps the child, once forked
         self._child = ExitStack()
 
     def __enter__(self) -> CsvStream:
@@ -470,10 +434,7 @@ class CsvStream:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        try:
-            self._child.__exit__(*exc_info)   # kills the child if the block raised
-        finally:
-            discard(self._stage)
+        self._child.__exit__(*exc_info)   # kills the child if the block raised
 
     def __call__(self, trace: RunTrace, t: int) -> None:
         if self._rows_to is None:
@@ -481,30 +442,28 @@ class CsvStream:
         if (t + 1) % self._chunk == 0 or t == trace.horizon:
             # a child that died early is reported once it is reaped
             with suppress(BrokenPipeError):
-                os.write(self._rows_to, (t + 1).to_bytes(8, "little"))
+                self._rows_to.write((t + 1).to_bytes(8, "little"))
 
     def _fork(self, trace: RunTrace) -> None:
         trace.stream = self
         self._files = _csv_files(trace, self._stage)
         self._chunk = _chunk_rows(self._files)
-        parent = os.getpid()
         read_fd, write_fd = os.pipe()
         try:
-            self._child.enter_context(forked(
-                lambda: self._write(trace.horizon + 1, parent, read_fd, write_fd),
-                "trace export child"))
+            self._result = self._child.enter_context(forked(
+                lambda: self._write(trace.horizon + 1, read_fd, write_fd),
+                "trace export child", self._stage))
         except BaseException:
             os.close(write_fd)
             raise
         finally:
             os.close(read_fd)
-        self._rows_to = write_fd
-        self._child.callback(os.close, write_fd)   # runs before the reap
+        # closed before the reap
+        self._rows_to = self._child.enter_context(open(write_fd, "wb", buffering=0))
 
-    def _write(self, n_rounds: int, parent: int, read_fd: int, write_fd: int) -> None:
+    def _write(self, n_rounds: int, read_fd: int, write_fd: int) -> None:
         """The child: append each chunk of rows to the files in the stage
-        once it is final; if ``parent``, which publishes them, has died by
-        then, discard the stage."""
+        once it is final."""
         os.close(write_fd)
         self._stage.mkdir(parents=True, exist_ok=True)
         done = 0
@@ -517,18 +476,14 @@ class CsvStream:
                 final = int.from_bytes(count, "little")
                 _append_rows(self._files, done, final)
                 done = final
-        if os.getppid() != parent:
-            discard(self._stage)
 
     def finish(self) -> list[Path]:
-        """Wait for the child, then publish the stage; returns the final
-        paths."""
-        try:
-            self._child.close()   # closes the pipe and reaps; raises if the child failed
+        """Close the pipe, wait for the child, then publish the stage;
+        returns the final paths."""
+        with self._child:
+            self._rows_to.close()
+            self._result()   # reaps; raises if the child failed
             publish(self._stage, self.outdir)
-        except BaseException:
-            discard(self._stage)
-            raise
         return [self.outdir / p.name for p, _, _ in self._files]
 
 

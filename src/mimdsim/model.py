@@ -201,34 +201,23 @@ def crossings(scenario: Scenario) -> list[tuple[int, int, int, int, int]]:
     return table
 
 
-def intra_round_edges(scenario: Scenario) -> set[tuple[str, str]]:
-    """Directed resource pairs transited back-to-back within a single round.
+def transit_order(scenario: Scenario) -> list[int] | None:
+    """Resource indices ordered so that each pair of resources transited
+    back-to-back within a single round comes in route order.
 
     Consecutive hops with equal pre-delay are crossed in the same round, in
-    route order. The union of these pairs over all connections must be
-    acyclic for single-pass round semantics to exist.
+    route order. Kahn's pass, always taking the lowest declared index among
+    the ready resources, so the order is deterministic. ``None`` means these
+    pairs, over all connections, form a cycle, and no single pass per round
+    exists. Every route must name declared resources.
     """
-    ids = [r.id for r in scenario.resources]
     table = crossings(scenario)
-    return {
-        (ids[a[1]], ids[b[1]])
-        for a, b in zip(table, table[1:])
-        if a[0] == b[0] and a[2] == b[2]
-    }
-
-
-def topo_order(nodes: list[str], edges: set[tuple[str, str]]) -> list[int] | None:
-    """Indices of ``nodes`` ordered so every edge ``(a, b)`` puts ``a`` before ``b``.
-
-    Kahn's pass, always taking the lowest declared index among the ready
-    nodes, so the order is deterministic. ``None`` means the edges form a cycle.
-    """
-    index = {n: i for i, n in enumerate(nodes)}
-    succ: list[list[int]] = [[] for _ in nodes]
-    indeg = [0] * len(nodes)
-    for a, b in edges:
-        succ[index[a]].append(index[b])
-        indeg[index[b]] += 1
+    succ: list[list[int]] = [[] for _ in scenario.resources]
+    indeg = [0] * len(succ)
+    for a, b in zip(table, table[1:]):
+        if a[0] == b[0] and a[2] == b[2]:
+            succ[a[1]].append(b[1])
+            indeg[b[1]] += 1
     ready = [i for i, d in enumerate(indeg) if d == 0]
     order: list[int] = []
     while ready:
@@ -238,7 +227,7 @@ def topo_order(nodes: list[str], edges: set[tuple[str, str]]) -> list[int] | Non
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
-    return order if len(order) == len(nodes) else None
+    return order if len(order) == len(succ) else None
 
 
 def validate(scenario: Scenario) -> list[Violation]:
@@ -329,10 +318,8 @@ def validate(scenario: Scenario) -> list[Violation]:
         out.append(Violation("loss_policy", f"unknown policy {policy!r}"))
 
     # Same-round transit order must admit a single consistent pass.
-    if not out:
-        nodes = [r.id for r in scenario.resources]
-        if topo_order(nodes, intra_round_edges(scenario)) is None:
-            out.append(Violation("scenario", "intra-round transit order is cyclic"))
+    if not out and transit_order(scenario) is None:
+        out.append(Violation("scenario", "intra-round transit order is cyclic"))
     return out
 
 

@@ -6,7 +6,9 @@ queues, an O(R^2) topological sort, per-event ``LossEvent`` retention and
 the old ``allocate_loss`` with its budget-overflow branch. Its code is kept
 as it was, except that the adversarial split clamps the other paths in the
 order of ``contributions``, which ``run`` fills in declaration order, as the
-kernel clamps in position order; so ``mimdsim.kernel.run`` can be checked
+kernel clamps in position order, and that its topological sort builds
+its same-round edges from ``model.crossings`` itself, not from the
+kernel's ``transit_order``; so ``mimdsim.kernel.run`` can be checked
 against it differentially. Its traces export with
 ``conftest.path_csv``/``resource_csv``.
 """
@@ -25,7 +27,7 @@ from mimdsim.model import (
     LossPolicy,
     ProportionalLoss,
     Scenario,
-    intra_round_edges,
+    crossings,
     require_valid,
 )
 from mimdsim.protocol import LSR_CLAMP_TOLERANCE, ProtocolError
@@ -299,13 +301,14 @@ def allocate_loss(
 def _topo_order(scenario: Scenario) -> list[int]:
     """Resource indices ordered so every same-round hop pair is respected."""
     ids = [r.id for r in scenario.resources]
-    index = {rid: i for i, rid in enumerate(ids)}
-    edges = intra_round_edges(scenario)
+    # consecutive hops of one path with equal pre-delay share a round
+    table = crossings(scenario)
+    edges = {(a[1], b[1]) for a, b in zip(table, table[1:]) if a[0] == b[0] and a[2] == b[2]}
     succ: dict[int, list[int]] = {i: [] for i in range(len(ids))}
     indeg = [0] * len(ids)
     for a, b in edges:
-        succ[index[a]].append(index[b])
-        indeg[index[b]] += 1
+        succ[a].append(b)
+        indeg[b] += 1
     order: list[int] = []
     remaining = list(range(len(ids)))
     while remaining:

@@ -542,6 +542,23 @@ def test_a_run_first_removes_what_a_killed_run_left_staged(tmp_path, monkeypatch
         assert not [rel for rel in forked[3] if ".part" in rel]
 
 
+def test_a_link_at_the_stage_is_removed_not_followed(tmp_path, monkeypatch, capsys):
+    # followed, the link would have the run empty its target and write into it
+    victim = tmp_path / "victim"
+    victim.mkdir()
+    (victim / "precious.txt").write_text("keep\n")
+    for i, flags in enumerate([[], SWEEP_2X2]):
+        for name in ("forked", "unforked"):
+            (tmp_path / str(i) / name).mkdir(parents=True)
+            (tmp_path / str(i) / name / ".part").symlink_to(Path("..", "..", "victim"))
+        with monkeypatch.context() as mp:
+            forked, unforked = with_and_without_fork(tmp_path / str(i), mp, capsys,
+                                                      ["--scenario", str(SHARED), *flags])
+        assert forked[0] == 0 and forked == unforked
+        assert not [rel for rel in forked[3] if ".part" in rel]
+        assert tree(victim) == {"precious.txt": b"keep\n"}
+
+
 def _equal_links(values: tuple[float, ...]) -> dict:
     """A path per value (``a``, then ``b``) on one link of capacity 10, over
     rounds 0-40."""

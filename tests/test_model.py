@@ -24,7 +24,7 @@ from mimdsim.model import (
     crossings,
     emit_scenario,
     parse_scenario,
-    topo_order,
+    transit_order,
     validate,
 )
 
@@ -131,12 +131,20 @@ def test_cyclic_same_round_transits_rejected():
     assert any("cyclic" in v.message for v in validate(sc))
 
 
-def test_topo_order_takes_the_lowest_ready_index_and_flags_cycles():
-    nodes = ["a", "b", "c", "d", "e"]
-    assert topo_order(nodes, set()) == [0, 1, 2, 3, 4]
+def test_transit_order_takes_the_lowest_ready_index_and_flags_cycles():
+    resources = tuple(constant_resource(rid, 10) for rid in "abcde")
+
+    def order(*routes):
+        return transit_order(Scenario(resources=resources, epsilon=0.1, connections=tuple(
+            simple_conn(f"p{k}", route, delay=delays[0], hop_delays=delays)
+            for k, (route, delays) in enumerate(routes))))
+
+    assert order() == [0, 1, 2, 3, 4]
+    # a hop after a delay is crossed in a later round, so it orders nothing
+    assert order((("e", "a"), (1, 0))) == [0, 1, 2, 3, 4]
     # d -> a and e -> b hold a and b back; c is ready before either
-    assert topo_order(nodes, {("d", "a"), ("e", "b")}) == [2, 3, 0, 4, 1]
-    assert topo_order(nodes, {("c", "a"), ("a", "c")}) is None
+    assert order((("d", "a"), (0, 0)), (("e", "b"), (0, 0))) == [2, 3, 0, 4, 1]
+    assert order((("c", "a"), (0, 0)), (("a", "c"), (0, 0))) is None
 
 
 def test_an_id_with_a_trailing_newline_is_a_violation():

@@ -2,8 +2,8 @@
 sends back, entered only by the export stream and the sweep, so no forked
 process forks; pipes only there and for the export child's row counts; one
 module that turns hop delays into transit rounds, and one that splits loss
-events; a kernel that opens no file; only the kernel moves or removes
-files; one rule that sizes both exports' chunks by values; no seed, since
+events; a kernel that opens no file; only the fork helper moves or
+removes files or asks for a process id; one rule that sizes both exports' chunks by values; no seed, since
 nothing in the model is random; the rate rule's domain checks and messages
 only in the protocol; the LP libraries, pickle and mmap load only inside
 the calls that use them; no module imports scipy, whose HiGHS extension
@@ -106,8 +106,9 @@ def test_the_kernel_run_opens_no_file():
                         "write_text", "write_bytes", "read_text", "read_bytes"}
 
 
-def test_only_the_kernel_moves_or_removes_files():
-    # os.replace, os.remove, Path.unlink or rmdir, or shutil.rmtree
+def test_only_the_fork_helper_moves_or_removes_files():
+    # os.replace, os.remove, Path.unlink or rmdir, or shutil.rmtree: only
+    # the stage's owner publishes or discards
     movers = set()
     for name, tree in _modules().items():
         for node in ast.walk(tree):
@@ -119,7 +120,15 @@ def test_only_the_kernel_moves_or_removes_files():
                     or called in ("replace", "remove")
                     and getattr(getattr(func, "value", None), "id", None) == "os"):
                 movers.add(name)
-    assert movers == {"kernel.py"}
+    assert movers == {"_fork.py"}
+
+
+def test_only_the_fork_helper_asks_for_a_process_id():
+    # the fork helper alone tells whether a child's parent has died
+    callers = {name for name, tree in _modules().items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) in ("getpid", "getppid")}
+    assert callers == {"_fork.py"}
 
 
 def test_both_exports_size_their_chunks_by_the_one_value_rule():

@@ -103,7 +103,7 @@ def test_a_valid_scenario_runs_conserving_loss_within_its_fairness_budget(sc):
     if trace is None:
         return
     path_lost, res_lost = loss_totals(trace)
-    assert abs(path_lost - res_lost) <= CONSERVATION_RTOL * max(1.0, path_lost, res_lost)
+    assert abs(path_lost - res_lost) <= CONSERVATION_RTOL * max(path_lost, res_lost)
     for rec in trace.paths.values():
         assert all(0.0 <= v <= 1.0 for v in rec.lsr)
     if isinstance(sc.loss_policy, AdversarialFairLoss):
