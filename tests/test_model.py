@@ -142,6 +142,8 @@ def test_transit_order_takes_the_lowest_ready_index_and_flags_cycles():
     assert order() == [0, 1, 2, 3, 4]
     # a hop after a delay is crossed in a later round, so it orders nothing
     assert order((("e", "a"), (1, 0))) == [0, 1, 2, 3, 4]
+    # nor does one path's last hop before the next path's first
+    assert order((("b",), (0,)), (("a",), (0,))) == [0, 1, 2, 3, 4]
     # d -> a and e -> b hold a and b back; c is ready before either
     assert order((("d", "a"), (0, 0)), (("e", "b"), (0, 0))) == [2, 3, 0, 4, 1]
     assert order((("c", "a"), (0, 0)), (("a", "c"), (0, 0))) is None
