@@ -7,11 +7,13 @@ needs more input than a function to call, such as the row counts the
 export child waits for, opens a pipe of its own.
 
 A child writes its files into the output directory's one hidden stage
-(``staged``), never into place. Its parent publishes what it keeps
-(``publish``) after the reap, and the stage is then discarded whole
+(``staged``), never into place, and ``forked`` alone decides what becomes
+of it: a clean block publishes the whole stage into the directory it
+stages for (``publish``), after the reap, and the stage is then discarded
 (``discard``) on every path, so a failed run leaves an earlier run's files
-as they were. A child that finds its parent dead when its work is done
-discards the stage itself, since nobody is left to publish it.
+as they were. A child whose work raised, or that finds its parent dead
+when its work is done, discards the stage itself, since nobody will
+publish it.
 """
 
 from __future__ import annotations
@@ -31,32 +33,29 @@ def staged(outdir: Path) -> Path:
 
 def publish(stage: Path, outdir: Path) -> None:
     """Move everything in ``stage`` into ``outdir``, creating it as
-    ``kernel.export_trace`` would, then remove the stage; a stage that was
-    never made publishes nothing."""
+    ``kernel.export_trace`` would. A directory in the stage is merged into
+    its namesake, whose other files stay; a link is moved, not followed. A
+    stage that was never made publishes nothing."""
     if stage.is_dir():
         outdir.mkdir(parents=True, exist_ok=True)
-        for name in os.listdir(stage):
-            os.replace(stage / name, outdir / name)
-        stage.rmdir()
+        with os.scandir(stage) as entries:
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    publish(Path(entry.path), outdir / entry.name)
+                else:
+                    os.replace(entry.path, outdir / entry.name)
 
 
 def discard(stage: Path) -> None:
     """Remove ``stage`` whole, as far as it can be: this runs on failure
     paths and before a run, whose own error is the one to report. A link,
     at the stage or in it, is removed, not followed."""
-    with suppress(OSError):
-        if stage.is_symlink():
+    import shutil
+
+    if stage.is_symlink():
+        with suppress(OSError):
             stage.unlink()
-            return
-        with os.scandir(stage) as entries:
-            for entry in entries:
-                if entry.is_dir(follow_symlinks=False):
-                    discard(Path(entry.path))
-                else:
-                    with suppress(OSError):
-                        os.unlink(entry.path)
-    with suppress(OSError):
-        stage.rmdir()
+    shutil.rmtree(stage, ignore_errors=True)
 
 
 @contextmanager
@@ -74,10 +73,11 @@ def forked(child: Callable[[], object], what: str,
     of a clean block. Use it only in a process that runs no other thread,
     since the fork copies just the calling one.
 
-    ``stage`` is where the child writes (``staged``). After the reap, on
-    every path, the block's end discards it, so the block publishes what
-    it keeps after ``result()``. Once ``child()`` has returned or raised,
-    a child whose parent is no longer this process discards it too.
+    ``stage`` is where the child writes (``staged``). After the reap, a
+    clean block publishes it whole into ``stage.parent``, and then every
+    path discards what is left of it. A child whose ``child()`` raised, or
+    whose parent is no longer this process once ``child()`` is done,
+    discards it itself, so a failed child's stage is never published.
     """
     import pickle
 
@@ -92,7 +92,7 @@ def forked(child: Callable[[], object], what: str,
                 reply, code = pickle.dumps(child()), 0
             except Exception as exc:
                 reply = f"{type(exc).__name__}: {exc}".encode(errors="replace")
-            if os.getppid() != parent:   # nobody is left to publish the stage
+            if code or os.getppid() != parent:   # nobody will publish the stage
                 discard(stage)
             with open(write_fd, "wb") as pipe:
                 pipe.write(reply)
@@ -123,5 +123,6 @@ def forked(child: Callable[[], object], what: str,
         raise
     else:
         reap()
+        publish(stage, stage.parent)
     finally:
         discard(stage)

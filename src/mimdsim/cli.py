@@ -19,7 +19,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from . import audit, kernel, optimum
-from ._fork import discard, forked, publish, staged
+from ._fork import discard, forked, staged
 from .audit import BandwidthTestError, theorem_parameters
 from .kernel import KernelError
 from .model import (
@@ -75,8 +75,8 @@ def _parse_list(text: str | None, flag: str) -> list[float] | None:
 
 def load_scenario(path: str | Path) -> Scenario:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
         raise UsageError(f"cannot read scenario file: {exc}") from exc
     scenario = parse_scenario(text)
     require_valid(scenario)
@@ -184,9 +184,9 @@ def _run_in_two(entries: list[_Entry], reports: list[audit.AuditReport]) -> None
     writes each entry's files into its own directory within the base
     directory's stage (``<base>/.part/<entry>/``) and returns its reports,
     its stderr text and the exception of its first failing entry, where it
-    stops. Once the head has succeeded, the tail's entries up to that one
-    are published, the text is written and the exception raised, so the
-    files left are those of a one-process run.
+    stops, so it stages exactly the entries a one-process run reaches.
+    Once the head has succeeded, the text is written and the exception
+    raised.
     """
     sizes = [(variant.horizon + 1) * sum(len(columns) for _, columns
                                          in kernel.csv_files(variant, sub))
@@ -211,9 +211,6 @@ def _run_in_two(entries: list[_Entry], reports: list[audit.AuditReport]) -> None
     with forked(run_tail, "sweep child", stage) as result:
         _run_in_order(head, reports, False)
         done, text, failure = result()
-        # the tail's entries up to its failing one are those a one-process run reaches
-        for _, sub, _ in tail[:len(done) + (failure is not None)]:
-            publish(stage / sub.name, sub)
     reports += done
     sys.stderr.write(text)
     if failure is not None:

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from . import protocol
-from ._fork import discard, forked, publish, staged
+from ._fork import discard, forked, staged
 from .model import (
     AdversarialFairLoss,
     Scenario,
@@ -412,12 +412,10 @@ class CsvStream:
     time a chunk's rows (``_chunk_rows``) are final, and at the last round,
     it sends the child the count of final rows, and the child appends them
     to every file in the stage. Since a chunk is sized by values, a wide
-    trace streams even when its horizon is short. ``export_trace`` reaps
-    the child and only then publishes the stage; if the block raises first
-    (a failed end-of-run check included), the child is killed and no CSV
-    is published. A child that reads EOF before its last rows discards the
-    stage. A run of no round forks nothing, and ``export_trace`` writes its
-    headers here.
+    trace streams even when its horizon is short. ``export_trace`` ends
+    the ``forked`` block; if this block raises first (a failed end-of-run
+    check included), the child is killed. A run of no round forks
+    nothing, and ``export_trace`` writes its headers here.
     """
 
     def __init__(self, outdir: str | Path) -> None:
@@ -426,7 +424,6 @@ class CsvStream:
         self._files: list[_CsvFile] = []       # in the stage, once forked
         self._chunk = 1                        # rows per chunk, once forked
         self._rows_to: BinaryIO | None = None  # the pipe's write end, once forked
-        self._result: Callable[[], object] | None = None   # reaps the child, once forked
         self._child = ExitStack()
 
     def __enter__(self) -> CsvStream:
@@ -450,7 +447,7 @@ class CsvStream:
         self._chunk = _chunk_rows(self._files)
         read_fd, write_fd = os.pipe()
         try:
-            self._result = self._child.enter_context(forked(
+            self._child.enter_context(forked(
                 lambda: self._write(trace.horizon + 1, read_fd, write_fd),
                 "trace export child", self._stage))
         except BaseException:
@@ -471,19 +468,15 @@ class CsvStream:
             while done < n_rounds:
                 count = published.read(8)
                 if len(count) < 8:
-                    discard(self._stage)
                     raise EOFError(f"rows {done} to {n_rounds - 1} were never published")
                 final = int.from_bytes(count, "little")
                 _append_rows(self._files, done, final)
                 done = final
 
     def finish(self) -> list[Path]:
-        """Close the pipe, wait for the child, then publish the stage;
-        returns the final paths."""
-        with self._child:
-            self._rows_to.close()
-            self._result()   # reaps; raises if the child failed
-            publish(self._stage, self.outdir)
+        """Close the pipe, then leave the ``forked`` block; returns the
+        final paths."""
+        self._child.close()
         return [self.outdir / p.name for p, _, _ in self._files]
 
 
@@ -494,8 +487,7 @@ def export_trace(trace: RunTrace, outdir: str | Path) -> list[Path]:
 
     A finished trace is written here. A trace that a ``CsvStream`` is
     writing is finished by it (``CsvStream.finish``) into the directory it
-    was given: the child is reaped and the stage published before this
-    returns, and a child that failed raises ``OSError`` naming its
+    was given, and a child that failed raises ``OSError`` naming its
     exception, leaving no CSV.
     """
     stream, trace.stream = trace.stream, None

@@ -340,7 +340,10 @@ def _num(value, location: str, allow_inf: bool = False) -> float:
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioParseError(f"expected a number, got {value!r}", location)
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:   # an integer literal past the largest float
+        raise ScenarioParseError("number too large", location) from None
     if math.isnan(v):
         raise ScenarioParseError("NaN is not allowed", location)
     if math.isinf(v) and not allow_inf:
@@ -456,6 +459,8 @@ def parse_scenario(text: str) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:   # digit limit, nesting depth
+        raise ScenarioParseError(str(exc)) from exc
     return scenario_from_dict(data)
 
 

@@ -135,6 +135,22 @@ def test_parse_failure_reports_line_and_column(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff{}",
+    b"[" * 200_000,
+    SINGLE.read_bytes().replace(b'"epsilon": 0.1', b'"epsilon": ' + b"1" * 5000),
+    SINGLE.read_bytes().replace(b'"start_rate": 1.0', b'"start_rate": 1' + b"0" * 400),
+], ids=["not_utf8", "deep", "long_int", "huge_int"])
+def test_a_malformed_scenario_file_exits_2_with_one_error_line(tmp_path, capsys, content):
+    bad, out = tmp_path / "bad.json", tmp_path / "o"
+    bad.write_bytes(content)
+    assert main(["--scenario", str(bad), "--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 

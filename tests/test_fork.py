@@ -1,7 +1,8 @@
 """``_fork.forked``: the child's return value comes back whole, an unread
-child is still reaped, a raising child is an OSError that names it, a
-raising block kills the child, and the block's end discards the child's
-stage on every path, after what the block published."""
+child is still reaped, a raising child is an OSError that names it and
+discards its own stage, a raising block kills the child and discards the
+stage, and a clean block publishes the stage into its directory.
+``_fork.discard`` removes links without following them."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import time
 import pytest
 
 from conftest import assert_no_child_processes
-from mimdsim._fork import forked, publish, staged
+from mimdsim._fork import discard, forked, staged
 
 MIB = 2**20
 
@@ -82,12 +83,64 @@ def test_a_raising_block_discards_what_the_child_staged(tmp_path):
     assert_no_child_processes()
 
 
-def test_a_clean_block_keeps_what_it_published_and_discards_the_rest(tmp_path):
-    stage, out = staged(tmp_path), tmp_path / "out"
+def test_a_clean_block_publishes_the_stage_into_its_directory(tmp_path):
+    # kept/ merges into the existing kept/, whose other files stay
+    stage = staged(tmp_path)
+    (tmp_path / "kept").mkdir()
+    (tmp_path / "kept" / "b.txt").write_text("earlier\n")
     with forked(_stage_two_files(stage), "probe", stage) as result:
         result()
-        publish(stage / "kept", out)
-        assert (stage / "dropped.txt").exists()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
-    assert [(p.name, p.read_text()) for p in out.iterdir()] == [("a.txt", "kept\n")]
+        assert not (tmp_path / "dropped.txt").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dropped.txt", "kept"]
+    assert sorted((p.name, p.read_text()) for p in (tmp_path / "kept").iterdir()) == [
+        ("a.txt", "kept\n"), ("b.txt", "earlier\n")]
+    assert (tmp_path / "dropped.txt").read_text() == "dropped\n"
     assert_no_child_processes()
+
+
+def test_a_clean_block_moves_a_staged_link_without_following_it(tmp_path):
+    out, victim = tmp_path / "out", tmp_path / "victim"
+    victim.mkdir()
+    (victim / "precious.txt").write_text("keep\n")
+    stage = staged(out)
+
+    def link() -> None:
+        stage.mkdir(parents=True)
+        (stage / "to_victim").symlink_to(victim, target_is_directory=True)
+
+    with forked(link, "probe", stage):
+        pass
+    assert [p.name for p in out.iterdir()] == ["to_victim"]
+    assert (out / "to_victim").readlink() == victim
+    assert [p.name for p in victim.iterdir()] == ["precious.txt"]
+    assert_no_child_processes()
+
+
+def test_a_raising_child_discards_its_stage_before_the_block_ends(tmp_path):
+    stage = staged(tmp_path)
+    write = _stage_two_files(stage)
+
+    def write_then_raise() -> None:
+        write()
+        raise ValueError("half written")
+
+    with pytest.raises(OSError, match=r"^probe failed: ValueError: half written$"):
+        with forked(write_then_raise, "probe", stage) as result:
+            with pytest.raises(OSError):
+                result()
+            assert not stage.exists()
+    assert list(tmp_path.iterdir()) == []
+    assert_no_child_processes()
+
+
+def test_discard_removes_a_link_in_the_stage_without_following_it(tmp_path):
+    stage, victim = staged(tmp_path / "out"), tmp_path / "victim"
+    (victim / "inner").mkdir(parents=True)
+    (victim / "precious.txt").write_text("keep\n")
+    (stage / "sub").mkdir(parents=True)
+    (stage / "sub" / "to_victim").symlink_to(victim, target_is_directory=True)
+    (stage / "to_victim").symlink_to(victim, target_is_directory=True)
+    discard(stage)
+    assert not stage.exists()
+    assert sorted(p.name for p in victim.iterdir()) == ["inner", "precious.txt"]
+    assert (victim / "precious.txt").read_text() == "keep\n"

@@ -524,6 +524,18 @@ def test_streamed_csvs_equal_the_export_of_the_finished_trace(tmp_path, monkeypa
     assert len(forks) == len(scenarios)
 
 
+def test_a_stream_discards_what_a_killed_run_left_staged_before_it_forks(tmp_path):
+    # library use, without the CLI's own pre-run discard: the whole stage
+    # is published, so a stale file left in it would be too
+    sc = single_link_scenario(duration=20, delay=2)
+    stage = tmp_path / ".part"
+    stage.mkdir()
+    (stage / "path_gone.csv").write_text("stale\n")
+    trace, _ = _streamed_run(sc, tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == _expected_csvs(trace)
+    assert_no_child_processes()
+
+
 def test_a_trace_wider_than_the_budget_goes_out_a_row_at_a_time(tmp_path, monkeypatch):
     sc = single_link_scenario(duration=20, delay=2)
     monkeypatch.setattr(kernel, "_CSV_CHUNK_VALUES", 6)   # a row holds 4 + 3 values

@@ -255,6 +255,14 @@ def test_parse_names_the_offending_field(mutate, needle):
     assert needle in str(exc.value)
 
 
+def test_an_integer_past_the_largest_float_is_a_parse_error_at_its_field():
+    doc = json.loads(emit_scenario(single_link_scenario()))
+    doc["connections"][0]["start_rate"] = 10**400
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(json.dumps(doc))
+    assert exc.value.location == "connections[0].start_rate"
+
+
 def test_an_adversarial_policy_needs_only_its_target():
     policy = {"kind": "adversarial_fair", "target_path": "p0"}
     doc = json.loads(emit_scenario(single_link_scenario(policy=AdversarialFairLoss("p0"))))

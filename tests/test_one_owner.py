@@ -3,8 +3,9 @@ sends back, entered only by the export stream and the sweep, so no forked
 process forks; pipes only there and for the export child's row counts; one
 module that turns hop delays into transit rounds, and one that splits loss
 events; a kernel that opens no file; only the fork helper moves or
-removes files or asks for a process id; one rule that sizes both exports' chunks by values; no seed, since
-nothing in the model is random; the rate rule's domain checks and messages
+removes files, publishes a stage or asks for a process id; one rule that
+sizes both exports' chunks by values; no seed, since nothing in the model
+is random; the rate rule's domain checks and messages
 only in the protocol; the LP libraries, pickle and mmap load only inside
 the calls that use them; no module imports scipy, whose HiGHS extension
 only the optimum loads; and none sets an LP's costs through the binding's
@@ -121,6 +122,15 @@ def test_only_the_fork_helper_moves_or_removes_files():
                     and getattr(getattr(func, "value", None), "id", None) == "os"):
                 movers.add(name)
     assert movers == {"_fork.py"}
+
+
+def test_only_the_fork_helper_publishes_a_stage():
+    # forked publishes after the reap; no caller picks what to publish
+    callers = {name for name, tree in _modules().items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and "publish" in (getattr(node.func, "attr", None),
+                                 getattr(node.func, "id", None))}
+    assert callers == {"_fork.py"}
 
 
 def test_only_the_fork_helper_asks_for_a_process_id():
