@@ -111,13 +111,10 @@ def theorem_parameters(epsilon: float, val: float) -> tuple[float, float]:
 
 
 def competitive_ratio(trace: RunTrace, opt: OptimumSolution | None) -> AuditReport:
-    """Assemble the full report; opt may be None when it was unbounded, and
-    then ``opt_value`` and ``competitive_ratio`` are None too. One pass over
-    the connections reads each path's record and arrival window once and
-    fills every per-path field. Against an ``opt_value`` of 0 the ratio is
-    0.0 for a zero throughput and None for a positive one: a fixed rate
-    must be 0 across a capacity-0 round, which the protocol can send
-    around."""
+    """Assemble the full report, rated against ``opt`` by ``rated``; opt may
+    be None when it was unbounded, or not solved yet. One pass over the
+    connections reads each path's record and arrival window once and fills
+    every per-path field."""
     scenario = trace.scenario
     throughput_terms = []
     lemma1: dict[str, float] = {}
@@ -163,31 +160,39 @@ def competitive_ratio(trace: RunTrace, opt: OptimumSolution | None) -> AuditRepo
             )
 
     total_lost_paths, total_lost_resources = loss_totals(trace)
-    throughput = math.fsum(throughput_terms)
-    eps_hat = measure_fairness(trace)
-    ratio = None
-    if opt is not None:
-        if opt.opt_value > 0.0:
-            ratio = throughput / opt.opt_value
-        elif throughput == 0.0:
-            ratio = 0.0
     finite_c = [v for v in per_path_c.values() if v is not None]
-    return AuditReport(
-        weighted_throughput=throughput,
+    return rated(AuditReport(
+        weighted_throughput=math.fsum(throughput_terms),
         total_lost_paths=total_lost_paths,
         total_lost_resources=total_lost_resources,
         lemma1_slack=lemma1,
         lemma3_slack=lemma3,
-        measured_epsilon_hat=eps_hat,
+        measured_epsilon_hat=measure_fairness(trace),
         U=peaks,
         b=min(per_path_b.values()) if per_path_b else None,
         c=min(finite_c) if finite_c else None,
         per_path_b=per_path_b,
         per_path_c=per_path_c,
         duration_threshold=max(threshold_terms) if threshold_terms else None,
-        opt_value=None if opt is None else opt.opt_value,
-        competitive_ratio=ratio,
-    )
+        opt_value=None,
+        competitive_ratio=None,
+    ), opt)
+
+
+def rated(report: AuditReport, opt: OptimumSolution | None) -> AuditReport:
+    """``report`` with ``opt_value`` and ``competitive_ratio`` taken from
+    ``opt``, or both None when ``opt`` is None (an unbounded optimum).
+    Against an ``opt_value`` of 0 the ratio is 0.0 for a zero throughput
+    and None for a positive one: a fixed rate must be 0 across a
+    capacity-0 round, which the protocol can send around."""
+    throughput, ratio = report.weighted_throughput, None
+    if opt is not None:
+        if opt.opt_value > 0.0:
+            ratio = throughput / opt.opt_value
+        elif throughput == 0.0:
+            ratio = 0.0
+    return replace(report, opt_value=None if opt is None else opt.opt_value,
+                   competitive_ratio=ratio)
 
 
 def solve_or_none(scenario: Scenario) -> tuple[OptimumSolution | None, str | None]:
@@ -208,7 +213,10 @@ def bandwidth_test(scenario: Scenario) -> dict:
     mean moves by at most 0.5% of its value across one window, the window
     being max over paths of (1+delay)/(beta*eps). The test is relative
     only, so it holds at every scale of the rates; two all-zero windows
-    count as converged.
+    count as converged. The scan starts at round ``start + 2 * window - 1``,
+    the first round whose earlier window starts no sooner than ``start``.
+    The LP is solved only once the trace, reduced to these sums, is
+    released.
     """
     if not scenario.connections:
         return {"estimate": 0.0, "opt_rate": 0.0, "opt_value": 0.0,
@@ -231,13 +239,14 @@ def bandwidth_test(scenario: Scenario) -> dict:
         rec = trace.paths[c.id]
         for t in c.shifted_window().rounds():
             agg[t] += rec.rcvd[t]
+    del trace, rec   # the LP below does not read the trace
 
     def window_mean(upto: int) -> float:
         lo = max(0, upto - window + 1)
         return math.fsum(agg[lo: upto + 1]) / (upto - lo + 1)
 
     converged_at = None
-    scan_last = min(end, trace.horizon)
+    scan_last = min(end, scenario.horizon)
     for t in range(start + 2 * window - 1, scan_last + 1):
         current = window_mean(t)
         previous = window_mean(t - window)

@@ -84,20 +84,13 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _run_entry(scenario: Scenario, outdir: Path, stream: bool) -> audit.AuditReport:
-    """Run one entry whole: its kernel, trace CSVs, LP and audit, then
-    ``optimum.json`` (or the unbounded warning) and ``audit.json``; the
-    trace is dropped on return.
-
-    With ``stream``, a ``kernel.CsvStream`` child writes the CSVs while the
-    kernel runs and then while this process solves and audits.
-    """
-    with kernel.CsvStream(outdir) if stream else nullcontext() as on_round:
-        trace = kernel.run(scenario, on_round=on_round)
-        try:
-            solution, opt_note = audit.solve_or_none(scenario)
-            report = audit.competitive_ratio(trace, solution)
-        finally:
-            kernel.export_trace(trace, outdir)
+    """Run one entry whole: its kernel, audit and trace CSVs
+    (``_unrated_report``), then, with the trace released, its LP, which
+    does not read it, then ``optimum.json`` (or the unbounded warning) and
+    ``audit.json``. So the trace and the solver never share one peak."""
+    report = _unrated_report(scenario, outdir, stream)
+    solution, opt_note = audit.solve_or_none(scenario)
+    report = audit.rated(report, solution)
     if solution is not None:
         optimum.export_solution(solution, outdir / "optimum.json")
     else:
@@ -105,6 +98,18 @@ def _run_entry(scenario: Scenario, outdir: Path, stream: bool) -> audit.AuditRep
     _warn_if_unrated(report)
     audit.export_report(report, outdir / "audit.json")
     return report
+
+
+def _unrated_report(scenario: Scenario, outdir: Path, stream: bool) -> audit.AuditReport:
+    """Run the kernel, audit its trace with no optimum and write its CSVs,
+    streamed by a ``kernel.CsvStream`` child with ``stream``; the trace and
+    the stream die with this frame."""
+    with kernel.CsvStream(outdir) if stream else nullcontext() as on_round:
+        trace = kernel.run(scenario, on_round=on_round)
+        try:
+            return audit.competitive_ratio(trace, None)
+        finally:
+            kernel.export_trace(trace, outdir)
 
 
 def _warn_if_unrated(report: audit.AuditReport) -> None:
@@ -252,11 +257,13 @@ def cmd_simulate(entries: list[_Entry]) -> int:
 
 
 def cmd_audit(scenario: Scenario, outdir: Path) -> int:
-    trace = kernel.run(scenario)
+    """Run the kernel and audit its trace, then, with the trace dropped,
+    solve the LP and write the rated ``audit.json``."""
+    report = audit.competitive_ratio(kernel.run(scenario), None)
     solution, opt_note = audit.solve_or_none(scenario)
     if solution is None:
         print(f"warning: optimum not computed: {opt_note}", file=sys.stderr)
-    report = audit.competitive_ratio(trace, solution)
+    report = audit.rated(report, solution)
     _warn_if_unrated(report)
     audit.export_report(report, outdir / "audit.json")
     print(audit.summary_line(report))

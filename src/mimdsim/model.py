@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 
 ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
+# the most a run's per-round arrays may take: 4 floats per path and 3 per
+# resource (two in the shared mapping, one capacity copy) per round
+MAX_RUN_BYTES = 2**30
 
 
 class ScenarioParseError(ValueError):
@@ -305,6 +308,14 @@ def validate(scenario: Scenario) -> list[Violation]:
                 c.beta * c.value > 0 and scenario.epsilon ** 2 * c.beta * c.value > 0):
             out.append(Violation(where, f"value {c.value!r} is too small: beta * value and "
                                  "epsilon ** 2 * beta * value must not round to 0"))
+
+    if scenario.connections:
+        width = 8 * (4 * len(scenario.connections) + 3 * len(scenario.resources))
+        if width * (scenario.horizon + 1) > MAX_RUN_BYTES:
+            last = max(scenario.connections, key=lambda c: c.end + c.total_delay)
+            out.append(Violation(f"connection {last.id!r}", (
+                f"end + total_delay must not pass round {MAX_RUN_BYTES // width - 1}: "
+                f"the run's arrays would take more than {MAX_RUN_BYTES} bytes")))
 
     if not 0.0 < scenario.epsilon < 1.0:
         out.append(Violation("scenario", f"epsilon must lie in (0,1), got {scenario.epsilon}"))

@@ -24,7 +24,12 @@ imports fractions. Every LP is solved in the process that calls
 ``_highs`` holds HiGHS to one thread, so it starts none, as tests pin
 (by default it would start (CPUs + 1) // 2 - 1), and a process that forks
 (``_fork.forked``) still does so before its first HiGHS solve, so that no
-fork rests on it.
+fork rests on it: the CLI solves each entry's LP after its trace export
+child is reaped, and a sweep forks before any entry runs.
+
+The LP reads only the scenario, never a trace, so the CLI solves it once
+the entry's trace is released, and HiGHS's memory does not add to the
+trace's.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ import pytest
 
 from conftest import (
     chunks_of,
+    constant_resource,
     random_scenario,
     record_forks,
     simple_conn,
@@ -34,6 +35,7 @@ from mimdsim.audit import BandwidthTestError
 from mimdsim.cli import UsageError, _sweep_variant, main
 from mimdsim.kernel import KernelError
 from mimdsim.model import (
+    Scenario,
     ScenarioParseError,
     ScenarioValidationError,
     Violation,
@@ -238,6 +240,21 @@ def test_an_id_with_a_trailing_newline_exits_2_before_anything_is_written(tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["simulate", "audit", "opt", "bwtest"])
+def test_a_horizon_too_long_to_allocate_exits_2_before_anything_is_written(
+        tmp_path, capsys, mode):
+    doc = json.loads(SINGLE.read_text())
+    doc["connections"][0]["active"] = [0, 10**400]
+    sc = tmp_path / "long.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--scenario", str(sc), "--out", str(out), "--mode", mode]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("error: invalid scenario: connection 'flow': end + total_delay "
+                          "must not pass round ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_simulate_still_runs_when_opt_is_unbounded(tmp_path, capsys):
     doc = json.loads(SINGLE.read_text())
     doc["resources"][0]["capacity"] = [{"from_round": 0, "value": "inf"}]
@@ -306,11 +323,11 @@ def test_each_sweep_entry_runs_its_kernel_lp_and_export_in_one_process(tmp_path,
     per_process: dict[str, list[str]] = {}
     for pid, name in (line.split() for line in log.read_text().splitlines()):
         per_process.setdefault(pid, []).append(name)
-    # both processes take part, each running an entry's kernel, LP and
-    # export before the next entry's kernel
+    # both processes take part, each running an entry's kernel, export and
+    # LP before the next entry's kernel
     assert len(per_process) == 2
     for names in per_process.values():
-        assert names == ["run", "solve_opt", "export_trace"] * (len(names) // 3)
+        assert names == ["run", "export_trace", "solve_opt"] * (len(names) // 3)
     assert sum(map(len, per_process.values())) == 3 * 5
 
 
@@ -334,6 +351,91 @@ def test_each_sweep_trace_is_dropped_before_the_next_kernel(tmp_path, monkeypatc
     alive_at_start = [line.split() for line in log.read_text().splitlines()]
     assert [alive for _, alive in alive_at_start] == ["0"] * 5
     assert len({pid for pid, _ in alive_at_start}) == 2
+
+
+@pytest.mark.parametrize("flags, forking, forks, solves", [
+    ([], True, 1, 1),                                    # streamed by an export child
+    ([], False, 0, 1),
+    (SWEEP_2X2, True, 1, 5),                             # both processes of a sweep
+    (["--mode", "audit"], True, 0, 1),
+    (["--mode", "bwtest", "--scenario", str(BWPAIR)], True, 0, 1),
+], ids=["streamed", "unforked", "sweep", "audit", "bwtest"])
+def test_every_lp_is_solved_once_its_trace_and_mapping_are_released(
+        tmp_path, monkeypatch, flags, forking, forks, solves):
+    log = tmp_path / "alive.log"
+    fd = _appending_log(log)
+    refs: list[weakref.ref] = []
+    run, solve = kernel.run, optimum.solve_opt
+
+    def run_and_watch(scenario, **kwargs):
+        trace = run(scenario, **kwargs)
+        mapping = next(iter(trace.paths.values())).sent.obj
+        refs.extend((weakref.ref(trace), weakref.ref(mapping)))
+        return trace
+
+    def solve_and_note(scenario):
+        alive = sum(ref() is not None for ref in refs)
+        os.write(fd, f"{os.getpid()} {len(refs)} {alive}\n".encode())
+        return solve(scenario)
+
+    monkeypatch.setattr(kernel, "run", run_and_watch)
+    monkeypatch.setattr(optimum, "solve_opt", solve_and_note)
+    if not forking:
+        monkeypatch.delattr(os, "fork")
+    pids = record_forks(monkeypatch) if forking else []
+    try:
+        assert main(["--scenario", str(SHARED), "--out", str(tmp_path / "out"), *flags]) == 0
+    finally:
+        os.close(fd)
+    assert len(pids) == forks
+    notes = [line.split() for line in log.read_text().splitlines()]
+    assert len(notes) == solves
+    assert len({pid for pid, _, _ in notes}) == (2 if solves > 1 else 1)
+    # each solve comes after its entry's kernel, with no trace or mapping left
+    for _, watched, alive in notes:
+        assert int(watched) >= 2 and alive == "0"
+
+
+def _failing_lp(monkeypatch, failing) -> str:
+    """Make ``optimum.solve_opt`` raise ``OptimumError`` on each scenario
+    for which ``failing(scenario)`` holds; returns the error line."""
+    solve = optimum.solve_opt
+
+    def solve_or_fail(scenario):
+        if failing(scenario):
+            raise OptimumError("injected LP failure")
+        return solve(scenario)
+
+    monkeypatch.setattr(optimum, "solve_opt", solve_or_fail)
+    return "error: injected LP failure\n"
+
+
+_SHARED_CSVS = ["path_sync.csv", "path_web.csv", "resource_core.csv", "resource_uplink.csv"]
+
+
+def test_an_lp_failure_keeps_the_finished_kernels_csvs_alone(tmp_path, monkeypatch, capsys):
+    error = _failing_lp(monkeypatch, lambda scenario: True)
+    forked, unforked = with_and_without_fork(tmp_path, monkeypatch, capsys,
+                                             ["--scenario", str(SHARED)])
+    assert forked == (3, "", error, {name: forked[3][name] for name in _SHARED_CSVS})
+    assert forked == unforked
+
+
+def test_an_lp_failure_mid_sweep_keeps_that_entrys_csvs_alone(tmp_path, monkeypatch, capsys):
+    # the last entry, in the sweep child's share, fails its LP; the entries
+    # before it are whole
+    last = _sweep_variant(parse_scenario(SHARED.read_text()), 0.1, 0.5)
+    error = _failing_lp(monkeypatch, lambda scenario: scenario == last)
+    forked, unforked = with_and_without_fork(tmp_path, monkeypatch, capsys,
+                                             ["--scenario", str(SHARED), *SWEEP_2X2])
+    code, out, err, files = forked
+    assert code == 3 and out.startswith("ratio=") and out.count("\n") == 1 and err == error
+    whole = [*_SHARED_CSVS, "audit.json", "optimum.json"]
+    done = ["eps0.2_dur0.25", "eps0.2_dur0.5", "eps0.1_dur0.25"]
+    assert set(files) == {*whole, *done, "eps0.1_dur0.5",
+                          *(f"{entry}/{name}" for entry in done for name in whole),
+                          *(f"eps0.1_dur0.5/{name}" for name in _SHARED_CSVS)}
+    assert forked == unforked
 
 
 def test_a_kernel_failure_mid_sweep_finishes_the_earlier_entries(tmp_path, capsys):
@@ -1035,6 +1137,20 @@ def test_bwtest_single_link_estimate_reaches_capacity(tmp_path):
     result = bandwidth_test(single_link_scenario(cap=30.0, duration=1500))
     assert abs(result["estimate"] - 30.0) <= 0.05 * 30.0
     assert result["opt_rate"] == pytest.approx(30.0, rel=1e-9)
+
+
+def test_bwtest_converges_at_the_first_round_it_scans_when_settled_from_the_start():
+    # both paths start above the fixed point beta * cap / (beta - alpha) of
+    # their summed rate, which then stays above the capacity, so the link
+    # passes exactly 10 in every round from 7 on
+    from mimdsim.audit import bandwidth_test
+
+    sc = Scenario(resources=(constant_resource("link", 10.0),), connections=tuple(
+        simple_conn(cid, ("link",), start=7, end=299, start_rate=20.0, alpha=0.05, beta=0.5)
+        for cid in ("a", "b")), epsilon=0.1)
+    window = math.ceil(1 / (0.5 * 0.1))
+    assert bandwidth_test(sc) == {"estimate": 10.0, "opt_rate": 10.0, "opt_value": 2930.0,
+                                  "window": window, "converged_at_round": 7 + 2 * window - 1}
 
 
 def test_bwtest_empty_connections_reports_zero(tmp_path):

@@ -16,6 +16,7 @@ from conftest import (
     step_resource,
 )
 from mimdsim.model import (
+    MAX_RUN_BYTES,
     AdversarialFairLoss,
     CapacityTimeline,
     ProportionalLoss,
@@ -301,3 +302,20 @@ def test_horizon_is_max_end_plus_delay():
     )
     assert sc.horizon == 13
     assert Scenario((), (), 0.1).horizon == -1
+
+
+def test_the_horizon_is_bounded_by_what_a_run_allocates():
+    # 8 * (4 * 2 paths + 3 * 1 resource) bytes per round: 88; the second
+    # path sets the horizon through its delay
+    last = MAX_RUN_BYTES // 88 - 1
+
+    def ending_at(horizon: int) -> Scenario:
+        return Scenario(resources=(constant_resource("r0", 10),), connections=(
+            simple_conn("p0", ("r0",), end=20),
+            simple_conn("p1", ("r0",), end=10, delay=horizon - 10, hop_delays=(0,))),
+            epsilon=0.1)
+
+    assert ending_at(last).horizon == last and validate(ending_at(last)) == []
+    assert [str(v) for v in validate(ending_at(last + 1))] == [
+        f"connection 'p1': end + total_delay must not pass round {last}: the run's "
+        f"arrays would take more than {MAX_RUN_BYTES} bytes"]
