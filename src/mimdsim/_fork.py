@@ -79,7 +79,9 @@ def forked(child: Callable[[], object], what: str,
     whose parent is no longer this process once ``child()`` is done,
     discards it itself, so a failed child's stage is never published.
     """
-    import pickle
+    def pickle():   # loaded only where a reply is made or read
+        import pickle
+        return pickle
 
     parent = os.getpid()
     read_fd, write_fd = os.pipe()
@@ -89,7 +91,7 @@ def forked(child: Callable[[], object], what: str,
         code = 1
         try:
             try:
-                reply, code = pickle.dumps(child()), 0
+                reply, code = pickle().dumps(child()), 0
             except Exception as exc:
                 reply = f"{type(exc).__name__}: {exc}".encode(errors="replace")
             if code or os.getppid() != parent:   # nobody will publish the stage
@@ -114,7 +116,7 @@ def forked(child: Callable[[], object], what: str,
         return reply
 
     try:
-        yield lambda: pickle.loads(reap())
+        yield lambda: pickle().loads(reap())
     except BaseException:
         if not reaped:
             os.kill(pid, signal.SIGKILL)

@@ -27,15 +27,14 @@ the fixed-rate optimum.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
 from operator import truediv
 from pathlib import Path
+from typing import NamedTuple
 
 from . import kernel, optimum
 from .kernel import ResourceLedger, RunTrace, loss_totals
-from .model import Scenario, crossings
+from .model import Scenario, crossings, write_json
 from .optimum import OptimumSolution, UnboundedOptimumError
 
 
@@ -43,8 +42,7 @@ class BandwidthTestError(ValueError):
     """The scenario does not fit the bandwidth test."""
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     """Everything the auditor measures for one run."""
 
     weighted_throughput: float
@@ -191,8 +189,8 @@ def rated(report: AuditReport, opt: OptimumSolution | None) -> AuditReport:
             ratio = throughput / opt.opt_value
         elif throughput == 0.0:
             ratio = 0.0
-    return replace(report, opt_value=None if opt is None else opt.opt_value,
-                   competitive_ratio=ratio)
+    return report._replace(opt_value=None if opt is None else opt.opt_value,
+                           competitive_ratio=ratio)
 
 
 def solve_or_none(scenario: Scenario) -> tuple[OptimumSolution | None, str | None]:
@@ -224,8 +222,8 @@ def bandwidth_test(scenario: Scenario) -> dict:
     intervals = {(c.start, c.end) for c in scenario.connections}
     if len(intervals) != 1:
         raise BandwidthTestError("bandwidth test needs all connections on one active interval")
-    scenario = replace(scenario, connections=tuple(replace(c, value=1.0)
-                                                   for c in scenario.connections))
+    scenario = scenario._replace(connections=tuple(c._replace(value=1.0)
+                                                 for c in scenario.connections))
     trace = kernel.run(scenario)
     start, end = next(iter(intervals))
 
@@ -284,10 +282,8 @@ def summary_line(report: AuditReport) -> str:
 
 
 def report_to_dict(report: AuditReport) -> dict:
-    return asdict(report)
+    return report._asdict()
 
 
 def export_report(report: AuditReport, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(report_to_dict(report), path)

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import os
 import sys
 from contextlib import nullcontext, redirect_stderr
-from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -28,6 +26,7 @@ from .model import (
     ScenarioValidationError,
     parse_scenario,
     require_valid,
+    write_json,
 )
 from .optimum import OptimumError
 from .protocol import ProtocolError
@@ -126,9 +125,8 @@ def _sweep_variant(scenario: Scenario, eps: float | None, duration: float) -> Sc
         alpha, beta = c.alpha, c.beta
         if eps is not None:
             alpha, beta = theorem_parameters(eps, c.value)
-        connections.append(replace(c, end=c.start + length - 1, alpha=alpha, beta=beta))
-    return replace(
-        scenario,
+        connections.append(c._replace(end=c.start + length - 1, alpha=alpha, beta=beta))
+    return scenario._replace(
         connections=tuple(connections),
         epsilon=scenario.epsilon if eps is None else eps,
     )
@@ -147,7 +145,8 @@ def _simulate_entries(scenario: Scenario, outdir: Path,
                       sweep_duration: list[float] | None) -> list[_Entry]:
     """(scenario, output directory, duration multiplier) per run, in run order:
     the base run, then one entry per sweep pair. UsageError when a duration
-    overflows a connection's window or two entries would share a directory."""
+    overflows a connection's window or two entries would share a directory,
+    and ScenarioValidationError when a variant is invalid, so no entry runs."""
     entries: list[_Entry] = [(scenario, outdir, 1.0)]
     if sweep_epsilon is None and sweep_duration is None:
         return entries
@@ -159,6 +158,7 @@ def _simulate_entries(scenario: Scenario, outdir: Path,
             except OverflowError:
                 raise UsageError(
                     f"--sweep-duration: {dur!r} overflows a connection's window") from None
+            require_valid(variant)
             name = _sweep_dir(scenario, eps, dur)
             entry = f"(epsilon {variant.epsilon!r}, duration {dur!r})"
             if name in seen:
@@ -279,9 +279,7 @@ def cmd_opt(scenario: Scenario, outdir: Path) -> int:
 
 def cmd_bandwidth_test(scenario: Scenario, outdir: Path) -> int:
     result = audit.bandwidth_test(scenario)
-    (outdir / "bandwidth_test.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(result, outdir / "bandwidth_test.json")
     opt_s = "n/a" if result["opt_rate"] is None else f"{result['opt_rate']:.6g}"
     print(f"bandwidth_estimate={result['estimate']:.6g} opt={opt_s}")
     return EXIT_OK

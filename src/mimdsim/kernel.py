@@ -30,9 +30,8 @@ import sys
 from array import array
 from collections.abc import Callable, Iterator
 from contextlib import ExitStack, suppress
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from . import protocol
 from ._fork import discard, forked, staged
@@ -53,8 +52,7 @@ class KernelError(RuntimeError):
     """Internal conservation failure: a kernel bug, not bad input."""
 
 
-@dataclass
-class ResourceLedger:
+class ResourceLedger(NamedTuple):
     """Dense per-round accounting for one resource."""
 
     resource_id: str
@@ -63,8 +61,7 @@ class ResourceLedger:
     cap: array
 
 
-@dataclass
-class PathRecord:
+class PathRecord(NamedTuple):
     """Dense per-round accounting for one path (zeros outside its windows)."""
 
     path_id: str
@@ -74,17 +71,16 @@ class PathRecord:
     lsr: memoryview
 
 
-@dataclass
 class RunTrace:
     """Complete record of one simulation run."""
 
-    scenario: Scenario
-    horizon: int
-    paths: dict[str, PathRecord]
-    resources: dict[str, ResourceLedger]
-    # the CsvStream writing this trace's CSVs, from its first round until
-    # export_trace finishes it
-    stream: CsvStream | None = field(default=None, repr=False, compare=False)
+    def __init__(self, scenario: Scenario, horizon: int, paths: dict[str, PathRecord],
+                 resources: dict[str, ResourceLedger]) -> None:
+        self.scenario, self.horizon = scenario, horizon
+        self.paths, self.resources = paths, resources
+        # the CsvStream writing this trace's CSVs, from its first round
+        # until export_trace finishes it
+        self.stream: CsvStream | None = None
 
 
 def allocate_loss(

@@ -1,4 +1,5 @@
-"""Domain model: resources, connections, scenarios, validation, JSON schema.
+"""Domain model: resources, connections, scenarios, validation, JSON schema,
+and the one JSON writer of every output file.
 
 Everything here is immutable after construction and safe to share across
 concurrent simulation runs. Quantities are real-valued throughout (fluid
@@ -12,7 +13,8 @@ import json
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 
 ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
@@ -45,8 +47,7 @@ class ScenarioValidationError(ValueError):
         return type(self), (self.violations,)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One invariant breach found by :func:`validate` (data, not a failure)."""
 
     where: str
@@ -56,8 +57,7 @@ class Violation:
         return f"{self.where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class CapacityTimeline:
+class CapacityTimeline(NamedTuple):
     """Piecewise-constant per-round capacity.
 
     ``steps`` is a tuple of ``(from_round, value)`` pairs with strictly
@@ -84,20 +84,18 @@ class CapacityTimeline:
         return CapacityTimeline(steps=((0, value),))
 
 
-@dataclass(frozen=True)
-class ResourceSpec:
+class ResourceSpec(NamedTuple):
     """A capacity-constrained network element (link, switch, router)."""
 
     id: str
     capacity: CapacityTimeline
 
 
-@dataclass(frozen=True)
 class RoundWindow:
-    """A contiguous inclusive range of rounds."""
+    """A contiguous inclusive range of rounds; its ``len`` counts them."""
 
-    start: int
-    end: int
+    def __init__(self, start: int, end: int) -> None:
+        self.start, self.end = start, end
 
     def __len__(self) -> int:
         return max(0, self.end - self.start + 1)
@@ -110,8 +108,7 @@ class RoundWindow:
         return slice(self.start, self.end + 1)
 
 
-@dataclass(frozen=True)
-class ConnectionSpec:
+class ConnectionSpec(NamedTuple):
     """One end-to-end connection pinned to a fixed route.
 
     ``hop_delays[i]`` is the number of rounds a packet still needs to reach
@@ -148,13 +145,11 @@ class ConnectionSpec:
         return self.total_delay - self.hop_delays[hop]
 
 
-@dataclass(frozen=True)
-class ProportionalLoss:
+class ProportionalLoss(NamedTuple):
     """Each contributor loses the same fraction of what it put in."""
 
 
-@dataclass(frozen=True)
-class AdversarialFairLoss:
+class AdversarialFairLoss(NamedTuple):
     """Greedy loss shifting toward one path, capped by the fairness budget.
 
     The allocator biases discard toward ``target_path`` only while the
@@ -169,8 +164,7 @@ class AdversarialFairLoss:
 LossPolicy = ProportionalLoss | AdversarialFairLoss
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Immutable description of one simulation input."""
 
     resources: tuple[ResourceSpec, ...]
@@ -517,3 +511,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def emit_scenario(scenario: Scenario) -> str:
     return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
+
+
+def write_json(doc: dict, path: str | Path) -> Path:
+    """Write ``doc`` to ``path`` as indented JSON with sorted keys. JSON has
+    no NaN or infinity, so a number that is not finite raises OverflowError
+    naming the file, which is then not written."""
+    path = Path(path)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise OverflowError(f"cannot write {path}: {exc}") from None
+    path.write_text(text + "\n")
+    return path

@@ -34,14 +34,13 @@ trace's.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
-from .model import Scenario, crossings, require_valid
+from .model import Scenario, crossings, require_valid, write_json
 
 EXACT_MAX_COLUMNS = 8   # above this many weighted paths, HiGHS solves the LP
 
@@ -54,8 +53,7 @@ class UnboundedOptimumError(OptimumError):
     """A positively valued path meets no finite capacity: opt is unbounded."""
 
 
-@dataclass(frozen=True)
-class OptimumSolution:
+class OptimumSolution(NamedTuple):
     """Fixed per-path rates plus the achieved weighted throughput."""
 
     rates: dict[str, float]
@@ -188,8 +186,7 @@ def _exact(
     return 0, "optimal", [float(v) for v in x]
 
 
-@dataclass(frozen=True)
-class _Segment:
+class _Segment(NamedTuple):
     """Rounds [lo, hi) of one resource with a constant active set and capacity."""
 
     resource_id: str
@@ -327,10 +324,8 @@ def solve_opt(scenario: Scenario) -> OptimumSolution:
 
 
 def solution_to_dict(solution: OptimumSolution) -> dict:
-    return asdict(solution)
+    return solution._asdict()
 
 
 def export_solution(solution: OptimumSolution, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(solution_to_dict(solution), indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(solution_to_dict(solution), path)

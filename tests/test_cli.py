@@ -15,7 +15,6 @@ import subprocess
 import sys
 import time
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -255,6 +254,50 @@ def test_a_horizon_too_long_to_allocate_exits_2_before_anything_is_written(
     assert not out.exists()
 
 
+def _dipping_link(tmp_path: Path) -> Path:
+    """A link of capacity 1e-300 for rounds 0-4 and unlimited after it, and
+    one path over rounds 3-9 at start rate 1e300: a fixed rate must fit the
+    dip, so the optimum is about 7e-300 and the competitive ratio is inf."""
+    doc = {"resources": [{"id": "r", "capacity": [{"from_round": 0, "value": 1e-300},
+                                                  {"from_round": 5, "value": "inf"}]}],
+           "connections": [{"id": "p", "route": ["r"], "value": 1.0, "active": [3, 9],
+                            "total_delay": 0, "hop_delays": [0], "start_rate": 1e300,
+                            "alpha": 0.05, "beta": 0.5}],
+           "epsilon": 0.5, "loss_policy": {"kind": "proportional"}}
+    sc = tmp_path / "dip.json"
+    sc.write_text(json.dumps(doc))
+    return sc
+
+
+@pytest.mark.parametrize("mode", ["simulate", "audit"])
+def test_an_infinite_competitive_ratio_exits_3_and_writes_no_audit_json(
+        tmp_path, capsys, mode):
+    out = tmp_path / "out"
+    assert main(["--scenario", str(_dipping_link(tmp_path)), "--out", str(out),
+                 "--mode", mode]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == (f"error: cannot write {out / 'audit.json'}: "
+                                    "Out of range float values are not JSON compliant: inf\n")
+    assert not (out / "audit.json").exists()
+    if mode == "simulate":   # the optimum itself is finite, and written first
+        assert json.loads((out / "optimum.json").read_text())["opt_value"] > 0.0
+
+
+@pytest.mark.parametrize("mode,name", [("opt", "optimum.json"),
+                                       ("bwtest", "bandwidth_test.json")])
+def test_a_non_finite_number_in_any_json_output_exits_3_and_writes_no_file(
+        tmp_path, monkeypatch, capsys, mode, name):
+    monkeypatch.setattr(optimum, "solve_opt",
+                        lambda sc: optimum.OptimumSolution({"link": math.inf}, math.inf, ()))
+    monkeypatch.setattr(audit, "bandwidth_test",
+                        lambda sc: {"estimate": math.nan, "opt_rate": None})
+    out = tmp_path / "out"
+    assert main(["--scenario", str(SINGLE), "--out", str(out), "--mode", mode]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / name}: ") and len(err.splitlines()) == 1
+    assert not (out / name).exists()
+
+
 def test_simulate_still_runs_when_opt_is_unbounded(tmp_path, capsys):
     doc = json.loads(SINGLE.read_text())
     doc["resources"][0]["capacity"] = [{"from_round": 0, "value": "inf"}]
@@ -465,8 +508,7 @@ def test_a_kernel_failure_mid_sweep_finishes_the_earlier_entries(tmp_path, capsy
 def _with_an_unbounded_probe(scenario):
     """Adds a path whose link is uncapped until round 20: the optimum is
     unbounded at duration multiplier 1 and bounded at 3."""
-    return replace(
-        scenario,
+    return scenario._replace(
         resources=scenario.resources + (step_resource("open", [(0, float("inf")), (20, 5.0)]),),
         connections=scenario.connections + (simple_conn("probe", ("open",), value=0.5, end=9),),
     )
@@ -1059,6 +1101,18 @@ def test_sweep_entries_sharing_a_directory_exit_2_before_anything_is_written(
     assert not out.exists()
 
 
+def test_an_invalid_sweep_variant_exits_2_before_any_entry_runs(tmp_path, capsys):
+    # the base and eps0.1_dur1 entries are valid; at 1e7 the horizon passes
+    # validate's bound
+    out = tmp_path / "out"
+    assert main(["--scenario", str(SINGLE), "--out", str(out), "--sweep-duration", "1,1e7"]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: invalid scenario: connection 'flow': end + total_delay "
+                          "must not pass round ")
+    assert not out.exists()
+
+
 def test_an_overflowing_sweep_duration_exits_2_before_anything_is_written(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["--scenario", str(SHARED), "--out", str(out), "--sweep-duration", "2,1e308"])
@@ -1090,6 +1144,16 @@ seen()
                           env=_src_env(), check=True)
     solved, printed, ran = proc.stdout.splitlines()
     assert solved == ran == "1 1 []" and printed.startswith("opt_value=")
+
+
+def test_a_one_entry_run_loads_neither_dataclasses_nor_inspect_nor_pickle(tmp_path):
+    # the records are named tuples, and the export child's reply is never read
+    probe = ("import sys; from mimdsim.cli import main; "
+             f"code = main(['--scenario', {str(SINGLE)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+             "print(code, [m for m in ('dataclasses', 'inspect', 'pickle') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_src_env(), check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_bwtest_two_disjoint_links(tmp_path, capsys):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import oracle_kernel
 from conftest import (
@@ -47,7 +46,7 @@ def test_random_scenarios_with_shuffled_resource_declarations_export_identically
         sc = random_scenario(rng)
         resources = list(sc.resources)
         shuffle_rng.shuffle(resources)
-        assert_identical_exports(replace(sc, resources=tuple(resources)))
+        assert_identical_exports(sc._replace(resources=tuple(resources)))
 
 
 def test_same_round_chain_exports_identically():

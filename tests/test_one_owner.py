@@ -69,6 +69,16 @@ def test_only_the_fork_helper_imports_pickle():
     assert importers == ["_fork.py"]
 
 
+def test_no_module_imports_dataclasses():
+    # it loads inspect, ast, dis and tokenize; the records are named tuples
+    importers = sorted(name for name, tree in _modules().items() for node in ast.walk(tree)
+                       if isinstance(node, ast.Import)
+                       and "dataclasses" in (alias.name.split(".")[0] for alias in node.names)
+                       or isinstance(node, ast.ImportFrom)
+                       and (node.module or "").split(".")[0] == "dataclasses")
+    assert importers == []
+
+
 def test_os_pipe_is_called_only_in_the_fork_helper_and_the_export_stream():
     sites = sorted(name for name, tree in _modules().items() for node in ast.walk(tree)
                    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "pipe")

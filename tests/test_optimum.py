@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -244,7 +243,7 @@ def test_segments_cover_each_crossed_round_once_with_its_active_set():
     for sc in scenarios:
         resources = list(sc.resources)
         shuffle_rng.shuffle(resources)
-        for variant in (sc, replace(sc, resources=tuple(resources))):
+        for variant in (sc, sc._replace(resources=tuple(resources))):
             by_id = {r.id: r for r in variant.resources}
             covered: dict[tuple[str, int], tuple[int, ...]] = {}
             for seg in _segments(variant):

@@ -16,7 +16,6 @@ scale and its estimate scales exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -42,14 +41,13 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 def scaled(scenario: Scenario, factor: float) -> Scenario:
     """Every capacity and start rate of ``scenario`` times ``factor``."""
-    return replace(
-        scenario,
+    return scenario._replace(
         resources=tuple(
-            replace(r, capacity=CapacityTimeline(tuple((fr, v * factor)
+            r._replace(capacity=CapacityTimeline(tuple((fr, v * factor)
                                                        for fr, v in r.capacity.steps)))
             for r in scenario.resources
         ),
-        connections=tuple(replace(c, start_rate=c.start_rate * factor)
+        connections=tuple(c._replace(start_rate=c.start_rate * factor)
                           for c in scenario.connections),
     )
 
@@ -60,7 +58,7 @@ def test_kernel_traces_scale_exactly_under_both_policies(seed, k):
     base = random_scenario(random.Random(seed))
     factor = 2.0**k
     for policy in (ProportionalLoss(), AdversarialFairLoss(base.connections[0].id)):
-        sc = replace(base, loss_policy=policy)
+        sc = base._replace(loss_policy=policy)
         want, got = run(sc), run(scaled(sc, factor))
         for pid, rec in want.paths.items():
             for column in ("sent", "rcvd", "lost"):
@@ -80,7 +78,7 @@ def test_no_valid_run_at_any_scale_comes_near_a_conservation_check(seed, k):
     # totals agree to rounding, far inside the run check's relative bound
     base = scaled(random_scenario(random.Random(seed)), 2.0**k)
     for policy in (ProportionalLoss(), AdversarialFairLoss(base.connections[0].id)):
-        trace = run(replace(base, loss_policy=policy))
+        trace = run(base._replace(loss_policy=policy))
         path_lost, res_lost = loss_totals(trace)
         carried = sum(sum(led.into) for led in trace.resources.values())
         assert abs(path_lost - res_lost) <= 1e-3 * kernel.CONSERVATION_RTOL * carried
@@ -89,7 +87,7 @@ def test_no_valid_run_at_any_scale_comes_near_a_conservation_check(seed, k):
 def test_an_event_short_of_a_tiny_excess_trips_the_event_check(monkeypatch):
     # at 2**-37 every excess is below 1e-9, which an absolute floor forgave
     base = random_scenario(random.Random(306))
-    sc = scaled(replace(base, loss_policy=AdversarialFairLoss(base.connections[0].id)), 2.0**-37)
+    sc = scaled(base._replace(loss_policy=AdversarialFairLoss(base.connections[0].id)), 2.0**-37)
     run(sc)
     split = kernel.allocate_loss
     monkeypatch.setattr(kernel, "allocate_loss",
